@@ -20,10 +20,12 @@
 //!   are discarded — an invalidation racing an in-flight fetch can never
 //!   resurrect stale bytes.
 //! * **Invalidate**: any commit, overwrite, or repair re-homing bumps the
-//!   file's generation; the control plane fans the event to every
-//!   registered cache over the same callback channel namespace mutations
-//!   ride. Unlink/rename-replace publish `generation == u64::MAX`,
-//!   dropping the file unconditionally.
+//!   file's generation; the control plane records it in the shared
+//!   [`LayoutCallbacks`] table and calls back only the caches that hold
+//!   state for the file (Lustre-style lock callbacks, not a broadcast).
+//!   Every other cache reads the table as its stale-fill floor.
+//!   Unlink/rename-replace publish `generation == u64::MAX`, dropping the
+//!   file unconditionally.
 //! * **EOF**: a short read proves where the committed EOF was at that
 //!   generation, so repeat reads past EOF (and EOF-clamped tails) are
 //!   served locally too. Size can only move with a commit, which bumps
@@ -39,7 +41,9 @@
 //! [`MetaEvent::LayoutChanged`]: nadfs_meta::MetaEvent
 //! [`ReadPlan`]: nadfs_meta::ReadPlan
 
-use std::collections::{BTreeMap, HashMap};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::rc::Rc;
 
 /// Tuning knobs for a client's [`ReadCache`].
 #[derive(Clone, Copy, Debug)]
@@ -67,7 +71,7 @@ impl Default for ReadCacheConfig {
 }
 
 /// Observable cache behavior (asserted by tests, reported by benches).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReadCacheStats {
     /// Lookups served entirely from client memory.
     pub hits: u64,
@@ -149,6 +153,45 @@ struct StreamState {
     last_sequential: bool,
 }
 
+/// The control plane's extent-generation callback registry, shared with
+/// every subscribed [`ReadCache`].
+///
+/// A `LayoutChanged` event costs O(holders of the file), not O(clients):
+/// it raises the file's published floor here and is delivered only to
+/// the caches listed as holders. A cache becomes a holder the first time
+/// it keeps any per-file state (cached bytes, a stream tracker, a
+/// prefetch advisory) and stays one for good; a callback to a holder
+/// that has since dropped that state is a no-op.
+#[derive(Default)]
+pub(crate) struct LayoutCallbacks {
+    /// Highest generation published per file (`u64::MAX` once unlinked).
+    published: HashMap<u64, u64>,
+    /// Per file, the subscribed caches (by subscription index) holding
+    /// state for it.
+    holders: HashMap<u64, Vec<usize>>,
+}
+
+pub(crate) type SharedLayoutCallbacks = Rc<RefCell<LayoutCallbacks>>;
+
+impl LayoutCallbacks {
+    /// The generation floor every subscribed cache must respect for `file`.
+    fn published(&self, file: u64) -> u64 {
+        self.published.get(&file).copied().unwrap_or(0)
+    }
+
+    /// Record that `file` moved to `generation`; returns the caches to
+    /// call back.
+    pub(crate) fn publish(&mut self, file: u64, generation: u64) -> &[usize] {
+        let floor = self.published.entry(file).or_insert(0);
+        *floor = (*floor).max(generation);
+        self.holders.get(&file).map_or(&[], Vec::as_slice)
+    }
+
+    fn add_holder(&mut self, file: u64, cache: usize) {
+        self.holders.entry(file).or_default().push(cache);
+    }
+}
+
 /// The per-client read cache. One instance hangs off each
 /// [`crate::client::ClientApp`] and is registered with the control plane
 /// for generation callbacks at cluster build time.
@@ -156,10 +199,19 @@ pub struct ReadCache {
     pub config: ReadCacheConfig,
     pub stats: ReadCacheStats,
     files: HashMap<u64, FileCache>,
-    /// Newest generation heard per file — survives invalidation (and even
-    /// full eviction) so an in-flight fill from before the bump can never
-    /// re-populate stale bytes.
+    /// Newest generation this cache has seen per file: its own accepted
+    /// fills plus the callbacks it received as a holder. Survives
+    /// invalidation (and even full eviction). A subscribed cache's
+    /// stale-fill floor is the max of this and the shared published
+    /// generation, so an in-flight fill from before a bump (or an unlink)
+    /// is rejected even by a cache that never heard the callback.
     latest_gen: HashMap<u64, u64>,
+    /// The control plane's callback registry and this cache's index in
+    /// it; `None` for a standalone cache, which hears only what is fed to
+    /// [`Self::note_generation`].
+    subscription: Option<(SharedLayoutCallbacks, usize)>,
+    /// Files this cache is registered as a holder of.
+    held: HashSet<u64>,
     streams: HashMap<u64, StreamState>,
     /// Control-plane prefetch advisories: per file, the range some client
     /// (maybe this one) is about to scan. Consumed by the next
@@ -181,9 +233,28 @@ impl ReadCache {
             stats: ReadCacheStats::default(),
             files: HashMap::new(),
             latest_gen: HashMap::new(),
+            subscription: None,
+            held: HashSet::new(),
             streams: HashMap::new(),
             hints: HashMap::new(),
             clock: 0,
+        }
+    }
+
+    /// Subscribe to the control plane's callback registry as cache
+    /// `index`. From here on the cache registers as a holder of every
+    /// file it keeps state for.
+    pub(crate) fn subscribe(&mut self, callbacks: SharedLayoutCallbacks, index: usize) {
+        self.subscription = Some((callbacks, index));
+    }
+
+    /// Register as a holder of `file` (once) so its generation callbacks
+    /// reach this cache.
+    fn hold(&mut self, file: u64) {
+        if let Some((callbacks, index)) = &self.subscription {
+            if self.held.insert(file) {
+                callbacks.borrow_mut().add_holder(file, *index);
+            }
         }
     }
 
@@ -277,6 +348,7 @@ impl ReadCache {
     /// Record an access for sequential-stream detection (both hits and
     /// misses advance the stream).
     fn note_access(&mut self, file: u64, offset: u64, len: u32) {
+        self.hold(file);
         let s = self.streams.entry(file).or_default();
         let sequential = s.primed && offset == s.next_expected;
         if !sequential {
@@ -297,10 +369,10 @@ impl ReadCache {
         if init == 0 {
             return 0;
         }
-        let (last_sequential, window) = {
-            let s = self.streams.entry(file).or_default();
-            (s.last_sequential, s.window)
-        };
+        let (last_sequential, window) = self
+            .streams
+            .get(&file)
+            .map_or((false, 0), |s| (s.last_sequential, s.window));
         let mut w = if !last_sequential {
             0
         } else if window == 0 {
@@ -333,6 +405,7 @@ impl ReadCache {
     /// Control-plane prefetch advisory: some client is sequentially
     /// scanning `file` and is about to need `[offset, offset + len)`.
     pub fn note_hint(&mut self, file: u64, offset: u64, len: u32) {
+        self.hold(file);
         self.stats.hints += 1;
         self.hints.insert(file, (offset, len));
     }
@@ -348,8 +421,9 @@ impl ReadCache {
     /// Fill the cache with bytes fetched under `generation`.
     /// `requested_len` is what the fetch asked for; when `data` came back
     /// shorter, the clamp proves the committed EOF at `offset +
-    /// data.len()`. Stale fills (older than the newest generation heard
-    /// for the file) are discarded.
+    /// data.len()`. Stale fills are discarded: older than the newest
+    /// generation this cache has seen for the file, or than the file's
+    /// published generation when subscribed.
     pub fn fill(
         &mut self,
         file: u64,
@@ -358,11 +432,15 @@ impl ReadCache {
         data: &[u8],
         requested_len: u32,
     ) {
-        let latest = self.latest_gen.get(&file).copied().unwrap_or(0);
+        let mut latest = self.latest_gen.get(&file).copied().unwrap_or(0);
+        if let Some((callbacks, _)) = &self.subscription {
+            latest = latest.max(callbacks.borrow().published(file));
+        }
         if generation < latest {
             self.stats.stale_fills += 1;
             return;
         }
+        self.hold(file);
         self.latest_gen.insert(file, generation);
         let now = self.tick();
         let f = self.files.entry(file).or_insert_with(|| FileCache {
@@ -492,6 +570,8 @@ impl ReadCache {
     /// Generation callback from the control plane: `file`'s extent map
     /// moved to `generation`. Drops cached data older than it;
     /// `u64::MAX` means the file's data is gone (unlink/rename-replace).
+    /// A subscribed cache hears this only for files it holds; the shared
+    /// published floor covers the rest.
     pub fn note_generation(&mut self, file: u64, generation: u64) {
         if generation == u64::MAX {
             if self.files.remove(&file).is_some() {

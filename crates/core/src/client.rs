@@ -756,7 +756,10 @@ impl ClientApp {
     fn payload(seed: u64, len: u32) -> Bytes {
         // Deterministic, seed-dependent content (splitmix-ish stream).
         let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut v = Vec::with_capacity(len as usize);
+        // Capacity for whole words, so the last (partial) word does not
+        // reallocate and copy the buffer. Appending words beats writing
+        // into a zeroed buffer: the zeroing pass costs more than it saves.
+        let mut v = Vec::with_capacity((len as usize).next_multiple_of(8));
         while v.len() < len as usize {
             x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = x;
@@ -2930,6 +2933,45 @@ impl NicApp for ClientApp {
             if let Some(idx) = self.issue_stash.iter().position(|(t, ..)| *t == tag) {
                 let (_, job, placement, start) = self.issue_stash.remove(idx);
                 self.issue_write(nic, ctx, job, placement, 0, start);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The payload stream in reference form (append whole words into a
+    /// buffer of exactly `len` bytes, then truncate). `payload` must
+    /// reproduce it byte for byte: stored data and every checksum derived
+    /// from it depend on these exact bytes.
+    fn payload_reference(seed: u64, len: u32) -> Vec<u8> {
+        let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
+        let mut v = Vec::with_capacity(len as usize);
+        while v.len() < len as usize {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            v.extend_from_slice(&z.to_le_bytes());
+        }
+        v.truncate(len as usize);
+        v
+    }
+
+    #[test]
+    fn payload_bytes_match_the_reference_generator() {
+        for seed in [0, 1, 0xDEAD_BEEF, u64::MAX] {
+            for len in [0, 1, 7, 8, 4097] {
+                let got = ClientApp::payload(seed, len);
+                assert_eq!(got.len(), len as usize);
+                assert_eq!(
+                    &got[..],
+                    &payload_reference(seed, len)[..],
+                    "seed {seed} len {len}"
+                );
             }
         }
     }

@@ -532,6 +532,10 @@ impl SimCluster {
                 m.counter_set(&format!("{pre}.records_dropped"), s.records_dropped);
                 m.gauge_set(&format!("{pre}.log_len"), lens[i] as f64);
             }
+            // Extent-generation callbacks reach only the read caches
+            // holding the file: this grows with holders per commit, not
+            // with the client count.
+            m.counter_set("control.layout_callbacks", control.layout_callbacks());
         }
         {
             // Credit-layer counters, aggregated across every NIC: the

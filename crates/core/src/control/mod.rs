@@ -38,7 +38,7 @@ use nadfs_meta::{
 use nadfs_simnet::NodeId;
 use nadfs_wire::{Capability, MacKey, ReplicaCoord, Rights, RsScheme};
 
-use crate::cache::ReadCache;
+use crate::cache::{ReadCache, SharedLayoutCallbacks};
 use crate::config::MetaCosts;
 use crate::storage::SharedStorageStats;
 
@@ -161,8 +161,15 @@ pub struct ControlPlane {
     /// Client metadata caches subscribed to invalidation callbacks.
     caches: Vec<Rc<RefCell<MetaCache>>>,
     /// Client read caches subscribed to extent-generation callbacks (the
-    /// same event channel; these consume `LayoutChanged`).
+    /// same event channel; these consume `LayoutChanged` and
+    /// `PrefetchHint`), indexed by subscription index.
     read_caches: Vec<Rc<RefCell<ReadCache>>>,
+    /// Published generations and per-file holder lists, shared with every
+    /// subscribed read cache.
+    callback_registry: SharedLayoutCallbacks,
+    /// `LayoutChanged` deliveries to read caches (one per holder per
+    /// event).
+    layout_callbacks_sent: u64,
     /// The metadata shards: partitioned FileMeta/ExtentMap state, op
     /// logs, and the per-shard admission queues.
     shards: Vec<MetaShard>,
@@ -241,6 +248,8 @@ impl ControlPlane {
             next_addr,
             caches: Vec::new(),
             read_caches: Vec::new(),
+            callback_registry: Default::default(),
+            layout_callbacks_sent: 0,
             shards: (0..n_shards).map(MetaShard::new).collect(),
             router: ShardRouter::new(n_shards),
             service_costs: MetaCosts::default(),
@@ -277,9 +286,22 @@ impl ControlPlane {
     }
 
     /// Subscribe a client read cache to extent-generation callbacks
-    /// (commits, overwrites, repair re-homing, unlink).
+    /// (commits, overwrites, repair re-homing, unlink). The cache gets
+    /// `LayoutChanged` only for files it holds state for (it registers as
+    /// a holder itself, on first fill, access or advisory), and reads the
+    /// shared published generation as the stale-fill floor for every
+    /// other file. Prefetch advisories reach every subscribed cache.
     pub fn register_read_cache(&mut self, cache: Rc<RefCell<ReadCache>>) {
+        let index = self.read_caches.len();
+        cache
+            .borrow_mut()
+            .subscribe(self.callback_registry.clone(), index);
         self.read_caches.push(cache);
+    }
+
+    /// `LayoutChanged` callbacks delivered to read caches so far.
+    pub fn layout_callbacks(&self) -> u64 {
+        self.layout_callbacks_sent
     }
 
     /// Attach per-node stats sinks (index-aligned with `storage_nodes`).
@@ -340,36 +362,55 @@ impl ControlPlane {
             .unwrap_or(0)
     }
 
-    /// Fan the metadata service's mutation events out to every registered
-    /// client cache (the callback channel).
+    /// Deliver the metadata service's mutation events (the callback
+    /// channel). Namespace events go to every metadata cache. A
+    /// `LayoutChanged` raises the file's published generation (the
+    /// stale-fill floor of every subscribed read cache) and is delivered
+    /// only to the read caches holding that file, so a commit costs
+    /// O(holders), not O(clients). A `PrefetchHint` is advice for any
+    /// future reader and goes to every read cache. Each cache still sees
+    /// its events in publication order.
     fn publish_invalidations(&mut self) {
         let events = self.meta.take_events();
         if events.is_empty() {
             return;
         }
-        for cache in &self.caches {
-            let mut c = cache.borrow_mut();
-            for ev in &events {
-                match ev {
-                    MetaEvent::Changed { path } => c.invalidate_path(path),
-                    MetaEvent::SubtreeGone { path } => c.invalidate_subtree(path),
-                    // Data-generation + prefetch events: read caches only.
-                    MetaEvent::LayoutChanged { .. } | MetaEvent::PrefetchHint { .. } => {}
+        let namespace = |ev: &MetaEvent| {
+            matches!(
+                ev,
+                MetaEvent::Changed { .. } | MetaEvent::SubtreeGone { .. }
+            )
+        };
+        if events.iter().any(namespace) {
+            for cache in &self.caches {
+                let mut c = cache.borrow_mut();
+                for ev in &events {
+                    match ev {
+                        MetaEvent::Changed { path } => c.invalidate_path(path),
+                        MetaEvent::SubtreeGone { path } => c.invalidate_subtree(path),
+                        // Data-generation + prefetch events: read caches only.
+                        MetaEvent::LayoutChanged { .. } | MetaEvent::PrefetchHint { .. } => {}
+                    }
                 }
             }
         }
-        for cache in &self.read_caches {
-            let mut c = cache.borrow_mut();
-            for ev in &events {
-                match ev {
-                    MetaEvent::LayoutChanged { ino, generation } => {
-                        c.note_generation(*ino, *generation);
+        for ev in &events {
+            match ev {
+                MetaEvent::LayoutChanged { ino, generation } => {
+                    let mut callbacks = self.callback_registry.borrow_mut();
+                    for &i in callbacks.publish(*ino, *generation) {
+                        self.read_caches[i]
+                            .borrow_mut()
+                            .note_generation(*ino, *generation);
+                        self.layout_callbacks_sent += 1;
                     }
-                    MetaEvent::PrefetchHint { ino, offset, len } => {
-                        c.note_hint(*ino, *offset, *len);
-                    }
-                    _ => {}
                 }
+                MetaEvent::PrefetchHint { ino, offset, len } => {
+                    for cache in &self.read_caches {
+                        cache.borrow_mut().note_hint(*ino, *offset, *len);
+                    }
+                }
+                MetaEvent::Changed { .. } | MetaEvent::SubtreeGone { .. } => {}
             }
         }
     }

@@ -371,6 +371,7 @@ fn metrics_snapshot_schema_is_stable() {
         "client.0.read_cache.hits",
         "client.0.meta_cache.hits",
         "repair.committed",
+        "control.layout_callbacks",
         "fabric.switch_holds",
         "engine.events_dispatched",
     ] {

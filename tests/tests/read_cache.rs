@@ -435,3 +435,46 @@ fn own_append_invalidates_and_extends_served_eof() {
     assert_eq!(&r3.data[..8_192], &a[..]);
     assert_eq!(&r3.data[8_192..], &b[..]);
 }
+
+/// Generation callbacks reach only the read caches that hold the file:
+/// on a write-only cluster where every client writes its own file, each
+/// commit calls back at most its writer — never every client. Counted,
+/// not timed, so it guards the O(holders) property on any host.
+#[test]
+fn layout_callbacks_reach_holders_not_every_client() {
+    const CLIENTS: usize = 256;
+    const WRITES: usize = 2;
+    let mut cl = SimCluster::build(ClusterSpec::new(CLIENTS, 4, StorageMode::Spin));
+    for c in 0..CLIENTS {
+        let file = cl.control.borrow_mut().create_file(0, FilePolicy::Plain).id;
+        for w in 0..WRITES {
+            cl.submit(
+                c,
+                Job::Write {
+                    file,
+                    size: 4096,
+                    protocol: WriteProtocol::Spin,
+                    seed: (c * WRITES + w) as u64,
+                },
+            );
+        }
+    }
+    cl.start();
+    cl.run_until_writes(CLIENTS * WRITES, 1_000);
+    let commits = cl
+        .results
+        .borrow()
+        .writes
+        .iter()
+        .filter(|w| w.status == Status::Ok)
+        .count() as u64;
+    assert_eq!(commits, (CLIENTS * WRITES) as u64, "every write commits");
+    let callbacks = cl
+        .metrics_snapshot()
+        .counter("control.layout_callbacks")
+        .expect("counter published");
+    assert!(
+        callbacks <= commits,
+        "{callbacks} callbacks for {commits} commits: the fan-out is not per holder"
+    );
+}
