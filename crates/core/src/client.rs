@@ -29,17 +29,9 @@ use crate::cache::ReadCache;
 use crate::config::MetaCosts;
 use crate::control::{FilePolicy, RepairPlan, RepairTask, SharedControl, WritePlacement};
 
-/// Timer tag: start pulling jobs from the plan.
+/// Timer tag: start pulling jobs from the plan. Every other timer the
+/// client arms carries a fresh tag from its deferred-step table.
 pub const KICK: u64 = 0;
-const RETRY_BASE: u64 = 0x5254_0000_0000_0000;
-const ISSUE_BASE: u64 = 0x4953_0000_0000_0000;
-const META_BASE: u64 = 0x4D45_0000_0000_0000;
-const READ_FIN_BASE: u64 = 0x5246_0000_0000_0000;
-const READ_SUB_BASE: u64 = 0x5244_0000_0000_0000;
-const READ_ISSUE_BASE: u64 = 0x5249_0000_0000_0000;
-const CACHE_FIN_BASE: u64 = 0x4348_0000_0000_0000;
-const REPAIR_FIN_BASE: u64 = 0x5046_0000_0000_0000;
-const REPAIR_SUB_BASE: u64 = 0x5052_0000_0000_0000;
 
 /// Buffered write-back attr updates are flushed to the control plane once
 /// this many files are dirty (one round-trip for the whole batch).
@@ -143,8 +135,10 @@ pub type SharedClientReadStats = Rc<RefCell<ClientReadStats>>;
 /// One unit of client work.
 #[derive(Clone, Debug)]
 pub enum Job {
-    /// Legacy write with a seed-generated payload (the workload/benchmark
-    /// adapter; real data goes through [`Job::WriteAt`]).
+    /// Append of `size` seed-generated bytes (what workloads and
+    /// benchmarks submit). When the job starts it is lowered into the
+    /// same write op as [`Job::WriteAt`]; the payload is generated then,
+    /// once, and carried through issue, retries and completion.
     Write {
         file: u64,
         size: u32,
@@ -179,13 +173,6 @@ pub enum Job {
         token: u64,
         slot: Option<RepairSlot>,
     },
-    /// One-sided read of a raw region (verification / read-path latency).
-    RawRead {
-        node: NodeId,
-        addr: u64,
-        len: u32,
-        token: u64,
-    },
     /// A metadata operation (namespace traffic).
     Meta { op: MetaOp, token: u64 },
 }
@@ -205,17 +192,6 @@ pub struct WriteResult {
     pub checksum: u64,
     /// Placement used (lets tests verify stored bytes).
     pub placement: WritePlacement,
-}
-
-/// Raw-region read completion (the legacy `Job::RawRead`).
-#[derive(Clone, Debug)]
-pub struct ReadResult {
-    pub token: u64,
-    pub end: Time,
-    /// Bytes fetched.
-    pub len: u32,
-    /// Checksum of the fetched bytes (read-back verification).
-    pub checksum: u64,
 }
 
 /// Typed completion of one file-level read.
@@ -294,17 +270,44 @@ pub struct MetaResult {
     pub result: Result<(), MetaError>,
 }
 
-/// Shared sink for completions.
+/// Shared sink for completions: every job the client starts lands
+/// exactly one record in the vector of its kind (and, when the job
+/// carried a oneshot slot, the same record in the slot).
 #[derive(Default)]
 pub struct ResultSink {
     pub writes: Vec<WriteResult>,
-    pub reads: Vec<ReadResult>,
-    /// File-level read completions (every one is also delivered through
-    /// its oneshot slot, when the job carried one).
     pub file_reads: Vec<ReadCompletion>,
     pub metas: Vec<MetaResult>,
-    /// Repair-task completions (also delivered through oneshot slots).
     pub repairs: Vec<RepairResult>,
+}
+
+/// A completion record and the [`ResultSink`] vector it lands in.
+trait Completion: Clone {
+    fn sink(results: &mut ResultSink) -> &mut Vec<Self>;
+}
+
+impl Completion for WriteResult {
+    fn sink(results: &mut ResultSink) -> &mut Vec<Self> {
+        &mut results.writes
+    }
+}
+
+impl Completion for ReadCompletion {
+    fn sink(results: &mut ResultSink) -> &mut Vec<Self> {
+        &mut results.file_reads
+    }
+}
+
+impl Completion for MetaResult {
+    fn sink(results: &mut ResultSink) -> &mut Vec<Self> {
+        &mut results.metas
+    }
+}
+
+impl Completion for RepairResult {
+    fn sink(results: &mut ResultSink) -> &mut Vec<Self> {
+        &mut results.repairs
+    }
 }
 
 pub type SharedResults = Rc<RefCell<ResultSink>>;
@@ -317,11 +320,28 @@ enum Phase {
     Data,
 }
 
-struct Pending {
-    job: Job,
-    placement: WritePlacement,
-    /// The payload (kept for HyperLoop's deferred data phase).
+/// One write job, lowered from [`Job::Write`] or [`Job::WriteAt`]. It
+/// travels from placement through the doorbell delay, every `Busy`
+/// retry, and completion.
+struct WriteOp {
+    file: u64,
+    /// Placement offset; `None` appends at the file's cursor.
+    offset: Option<u64>,
     data: Bytes,
+    protocol: WriteProtocol,
+    slot: Option<WriteSlot>,
+}
+
+impl WriteOp {
+    fn size(&self) -> u32 {
+        self.data.len() as u32
+    }
+}
+
+/// One in-flight write (issued, awaiting acks).
+struct Pending {
+    op: WriteOp,
+    placement: WritePlacement,
     checksum: u64,
     start: Time,
     acks_needed: u32,
@@ -398,8 +418,8 @@ enum ReadIssue {
 }
 
 /// One file-level read request (original parameters + its open span):
-/// the unit the miss path consumes, and what parks on an in-flight
-/// background readahead covering its range.
+/// what a [`Job::Read`] lowers to, the unit the miss path consumes, and
+/// what parks on an in-flight background readahead covering its range.
 struct ReadReq {
     token: u64,
     file: u64,
@@ -411,16 +431,13 @@ struct ReadReq {
     start: Time,
 }
 
-/// A read answered from the client read cache, waiting out its simulated
-/// probe + copy latency before the completion is delivered.
-struct PendingCacheHit {
+/// One repair job's identity: what its completion reports, and where
+/// that completion goes.
+struct RepairReq {
     token: u64,
-    file: u64,
-    protocol: ReadProtocol,
-    offset: u64,
-    data: Bytes,
+    task: RepairTask,
     start: Time,
-    slot: Option<ReadSlot>,
+    slot: Option<RepairSlot>,
     span: SpanId,
 }
 
@@ -428,12 +445,10 @@ struct PendingCacheHit {
 /// rebuilt shards fan out as writes to their spare coordinates, and the
 /// extent-map update commits once every write acknowledges.
 struct PendingRepair {
-    token: u64,
-    task: RepairTask,
+    req: RepairReq,
     plan: RepairPlan,
     /// Client-memory staging base for fetched shards (fetch-slot order).
     scratch: u64,
-    start: Time,
     fetch_left: u32,
     write_acks_left: u32,
     /// False while fetching survivors; true once spare writes are out.
@@ -441,11 +456,41 @@ struct PendingRepair {
     bytes_moved: u64,
     msgs: Vec<MsgId>,
     subs: Vec<u64>,
-    slot: Option<RepairSlot>,
     /// Wire-level request ids the task used (fetch + spare writes), all
     /// correlated to the span for storage-side phase marks.
     greqs: Vec<u64>,
-    span: SpanId,
+}
+
+/// A step waiting out a simulated delay: the client's timers (except
+/// [`KICK`]) each resolve, by tag, to exactly one of these.
+enum Deferred {
+    /// A placed write waiting out its verbs post (doorbell) cost.
+    Issue {
+        op: WriteOp,
+        placement: WritePlacement,
+        start: Time,
+    },
+    /// A write backing off after a `Busy` NACK, re-placed under a fresh
+    /// greq. It holds no window slot until the retry fires.
+    Retry {
+        op: WriteOp,
+        placement: WritePlacement,
+        retries: u32,
+    },
+    /// A metadata op whose outcome is decided, waiting out its latency.
+    Meta(PendingMeta),
+    /// A read answered from the read cache, waiting out the probe.
+    CacheHit { req: ReadReq, data: Bytes },
+    /// A read op's wire program waiting out its doorbell cost.
+    ReadIssue {
+        op_id: u64,
+        issue: ReadIssue,
+        dfs: DfsHeader,
+    },
+    /// A read op waiting out client-side degraded reconstruction.
+    ReadFin(u64),
+    /// A repair op waiting out its rebuild cost before the spare writes.
+    RepairFin(u64),
 }
 
 /// The client node software.
@@ -454,6 +499,12 @@ pub struct ClientApp {
     results: SharedResults,
     plan: SharedPlan,
     window: usize,
+    /// Jobs holding a window slot: started and not yet delivered. A write
+    /// backing off after `Busy` gives its slot up until the retry fires.
+    outstanding: usize,
+    /// Deferred steps by timer tag, and the last tag handed out.
+    deferred: HashMap<u64, Deferred>,
+    last_tag: u64,
     in_flight: HashMap<u64, Pending>,
     msg_to_greq: HashMap<MsgId, u64>,
     caps: HashMap<u64, Capability>,
@@ -463,10 +514,6 @@ pub struct ClientApp {
     /// every Nth job is abandoned when set.
     pub abandon_every: Option<u64>,
     jobs_started: u64,
-    /// Raw-read token → (local address, length) for checksum at completion.
-    read_tokens: HashMap<u64, (u64, u32)>,
-    retry_stash: Vec<(u64, Job, WritePlacement, u32)>,
-    issue_stash: Vec<(u64, Job, WritePlacement, Time)>,
     /// In-flight file reads by internal op id.
     reads_in_flight: HashMap<u64, PendingReadOp>,
     /// Sub-fetch token → op id.
@@ -474,12 +521,8 @@ pub struct ClientApp {
     /// Request message → op id (NACK routing).
     read_msg_to_op: HashMap<MsgId, u64>,
     next_read_op: u64,
-    next_read_sub: u64,
-    /// Deferred read completions waiting out the reconstruction CPU cost.
-    read_fin_stash: Vec<(u64, u64)>,
-    /// Read fan-outs waiting out the verbs-post (doorbell) cost:
-    /// (tag, op id, wire program, DFS header).
-    read_issue_stash: Vec<(u64, u64, ReadIssue, DfsHeader)>,
+    /// Token of the next network fetch (read piece or repair survivor).
+    next_sub: u64,
     /// Cached READ capabilities by file.
     read_caps: HashMap<u64, Capability>,
     /// Expiry stamped into issued READ capabilities (tests set this into
@@ -490,15 +533,10 @@ pub struct ClientApp {
     /// Shared read-path counters (exported by the cluster's metrics
     /// snapshot; the handle survives the app moving into the engine).
     pub read_stats: SharedClientReadStats,
-    /// Background readahead ops currently in `reads_in_flight` (they do
-    /// not occupy window slots).
-    background_reads: usize,
     /// Reads parked on an in-flight background readahead whose range
     /// covers theirs (background op id → waiters): instead of a duplicate
     /// resolve + fan-out they resume from the cache when the fill lands.
     ra_waiters: HashMap<u64, Vec<ReadReq>>,
-    /// Parked reads (they hold their window slot while waiting).
-    parked_reads: usize,
     /// In-flight repair tasks by internal op id.
     repairs_in_flight: HashMap<u64, PendingRepair>,
     /// Repair shard-fetch token → repair op id.
@@ -506,9 +544,6 @@ pub struct ClientApp {
     /// Repair request/write message → repair op id (NACKs and acks).
     repair_msg_to_op: HashMap<MsgId, u64>,
     next_repair_op: u64,
-    /// Repairs waiting out the reconstruction CPU cost before their
-    /// spare writes go out.
-    repair_fin_stash: Vec<(u64, u64)>,
     /// Client-side metadata cache (registered with the control plane for
     /// invalidation callbacks at construction).
     pub meta_cache: Rc<RefCell<MetaCache>>,
@@ -521,14 +556,11 @@ pub struct ClientApp {
     /// Disable to measure the uncached read path (every `read_at` pays a
     /// resolve plus the full fan-out).
     pub read_cache_enabled: bool,
-    /// Cache-hit completions waiting out the probe + copy latency.
-    cache_fin_stash: Vec<(u64, PendingCacheHit)>,
-    next_cache_tag: u64,
     /// Latency model for metadata traffic.
     pub meta_costs: MetaCosts,
+    /// Metadata ops started and not yet delivered (the bulk span stays
+    /// open while any remain).
     meta_in_flight: usize,
-    meta_stash: Vec<(u64, PendingMeta)>,
-    next_meta_tag: u64,
     /// When true, a storm of [`Job::Meta`] ops shares one
     /// [`OpKind::MetaBulk`] span carrying op-count attribution in its
     /// label instead of minting one span per op, so bulk namespace
@@ -581,44 +613,35 @@ impl ClientApp {
             results,
             plan,
             window,
+            outstanding: 0,
+            deferred: HashMap::new(),
+            last_tag: KICK,
             in_flight: HashMap::new(),
             msg_to_greq: HashMap::new(),
             caps: HashMap::new(),
             forge_capabilities: false,
             abandon_every: None,
             jobs_started: 0,
-            read_tokens: HashMap::new(),
-            retry_stash: Vec::new(),
-            issue_stash: Vec::new(),
             reads_in_flight: HashMap::new(),
             read_sub_to_op: HashMap::new(),
             read_msg_to_op: HashMap::new(),
             next_read_op: 0,
-            next_read_sub: 0,
-            read_fin_stash: Vec::new(),
-            read_issue_stash: Vec::new(),
+            next_sub: 0,
             read_caps: HashMap::new(),
             read_cap_expires_at_ns: u64::MAX / 2,
             rs_cache: HashMap::new(),
             read_stats: Rc::new(RefCell::new(ClientReadStats::default())),
-            background_reads: 0,
             ra_waiters: HashMap::new(),
-            parked_reads: 0,
             repairs_in_flight: HashMap::new(),
             repair_sub_to_op: HashMap::new(),
             repair_msg_to_op: HashMap::new(),
             next_repair_op: 0,
-            repair_fin_stash: Vec::new(),
             meta_cache,
             cache_enabled: true,
             read_cache,
             read_cache_enabled: true,
-            cache_fin_stash: Vec::new(),
-            next_cache_tag: 0,
             meta_costs: MetaCosts::default(),
             meta_in_flight: 0,
-            meta_stash: Vec::new(),
-            next_meta_tag: 0,
             bulk_meta_spans: false,
             bulk_meta_span: 0,
             bulk_meta_ops: 0,
@@ -773,18 +796,7 @@ impl ClientApp {
     }
 
     fn fill(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>) {
-        while self.in_flight.len()
-            + self.issue_stash.len()
-            + self.meta_in_flight
-            + self
-                .reads_in_flight
-                .len()
-                .saturating_sub(self.background_reads)
-            + self.parked_reads
-            + self.cache_fin_stash.len()
-            + self.repairs_in_flight.len()
-            < self.window
-        {
+        while self.outstanding < self.window {
             let Some(job) = self.plan.borrow_mut().pop_front() else {
                 return;
             };
@@ -792,111 +804,59 @@ impl ClientApp {
         }
     }
 
-    /// Record a write that failed in the metadata service before any byte
-    /// moved: the job completes immediately with `Rejected` instead of
-    /// silently vanishing.
-    #[allow(clippy::too_many_arguments)]
-    fn fail_write_job(
-        &mut self,
-        nic: &NicCore,
-        ctx: &Ctx<'_>,
-        size: u32,
-        protocol: WriteProtocol,
-        retries: u32,
-        start: Time,
-        slot: Option<WriteSlot>,
-        span: SpanId,
-    ) {
-        self.span_end(span, ctx.now(), false);
-        let greq = self.control.borrow_mut().alloc_greq();
-        let result = WriteResult {
-            greq,
-            client: nic.node(),
-            protocol,
-            size,
-            start,
-            end: ctx.now(),
-            status: Status::Rejected,
-            retries,
-            checksum: 0,
-            placement: WritePlacement::rejected(greq),
-        };
+    /// Arm a timer that runs `step` after `delay`.
+    fn defer(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, delay: Dur, step: Deferred) {
+        self.last_tag += 1;
+        self.deferred.insert(self.last_tag, step);
+        nic.set_timer(ctx, delay, self.last_tag);
+    }
+
+    /// Deliver one job's completion: into its oneshot slot, if it has one,
+    /// and onto the shared sink. The job's window slot frees here.
+    fn deliver<T: Completion>(&mut self, slot: Option<Rc<RefCell<Option<T>>>>, result: T) {
+        self.outstanding -= 1;
         if let Some(slot) = slot {
             *slot.borrow_mut() = Some(result.clone());
         }
-        self.results.borrow_mut().writes.push(result);
+        T::sink(&mut self.results.borrow_mut()).push(result);
     }
 
+    /// Lower one job into its op and start it. Every job takes a window
+    /// slot here and gives it back when its completion is delivered.
     fn start_job(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, job: Job) {
         self.jobs_started += 1;
+        self.outstanding += 1;
         match job {
             Job::Write {
                 file,
                 size,
                 protocol,
-                ..
+                seed,
             } => {
-                // The measured latency starts when the driver decides to
-                // write; the verbs post (doorbell, WQE build) delays actual
-                // injection — a real cost every protocol pays.
-                let placed = self.control.borrow_mut().place_write(file, size);
-                let start = ctx.now();
-                let span = self.span_begin(OpKind::Write, nic, start, || {
-                    format!("write f{file} {size}B")
-                });
-                let placement = match placed {
-                    Ok(p) => p,
-                    Err(_) => {
-                        // Typed metadata miss: the job fails, the client
-                        // moves on.
-                        self.fail_write_job(nic, ctx, size, protocol, 0, start, None, span);
-                        return;
-                    }
+                let op = WriteOp {
+                    file,
+                    offset: None,
+                    data: Self::payload(seed, size),
+                    protocol,
+                    slot: None,
                 };
-                self.span_mark(span, phase::RESOLVED, start);
-                self.span_correlate(placement.greq, span);
-                self.trace.borrow_mut().emit_with(start, "control", || {
-                    format!("place-write f{file} {size}B greq={}", placement.greq)
-                });
-                let t_post = nic.cpu.exec(start, nic.cpu.costs.post_send);
-                let tag = ISSUE_BASE | placement.greq;
-                self.issue_stash
-                    .push((tag, job_clone(&job), placement, start));
-                nic.set_timer(ctx, t_post.since(start), tag);
+                self.start_write(nic, ctx, op);
             }
             Job::WriteAt {
                 file,
                 offset,
-                ref data,
+                data,
                 protocol,
-                ref slot,
+                slot,
             } => {
-                let len = data.len() as u32;
-                let placed = match offset {
-                    None => self.control.borrow_mut().place_write(file, len),
-                    Some(o) => self.control.borrow_mut().place_write_at(file, len, o),
+                let op = WriteOp {
+                    file,
+                    offset,
+                    data,
+                    protocol,
+                    slot,
                 };
-                let start = ctx.now();
-                let span = self.span_begin(OpKind::Write, nic, start, || {
-                    format!("write f{file} {len}B")
-                });
-                let placement = match placed {
-                    Ok(p) => p,
-                    Err(_) => {
-                        self.fail_write_job(nic, ctx, len, protocol, 0, start, slot.clone(), span);
-                        return;
-                    }
-                };
-                self.span_mark(span, phase::RESOLVED, start);
-                self.span_correlate(placement.greq, span);
-                self.trace.borrow_mut().emit_with(start, "control", || {
-                    format!("place-write f{file} {len}B greq={}", placement.greq)
-                });
-                let t_post = nic.cpu.exec(start, nic.cpu.costs.post_send);
-                let tag = ISSUE_BASE | placement.greq;
-                self.issue_stash
-                    .push((tag, job_clone(&job), placement, start));
-                nic.set_timer(ctx, t_post.since(start), tag);
+                self.start_write(nic, ctx, op);
             }
             Job::Read {
                 file,
@@ -906,26 +866,92 @@ impl ClientApp {
                 token,
                 slot,
             } => {
-                self.start_read(nic, ctx, file, offset, len, protocol, token, slot);
+                let start = ctx.now();
+                let span = self.span_begin(OpKind::Read, nic, start, || {
+                    format!("read f{file} @{offset}+{len}")
+                });
+                let req = ReadReq {
+                    token,
+                    file,
+                    offset,
+                    len,
+                    protocol,
+                    slot,
+                    span,
+                    start,
+                };
+                self.start_read(nic, ctx, req);
             }
             Job::Repair { task, token, slot } => {
                 self.start_repair(nic, ctx, task, token, slot);
-            }
-            Job::RawRead {
-                node,
-                addr,
-                len,
-                token,
-            } => {
-                let rrh = ReadReqHeader { addr, len };
-                let local = nic.memory().borrow_mut().alloc(len as u64);
-                self.read_tokens.insert(token, (local, len));
-                nic.send_read(ctx, node, rrh, None, local, token);
             }
             Job::Meta { op, token } => {
                 self.start_meta(nic, ctx, op, token);
             }
         }
+    }
+
+    /// Place one write and arm the doorbell timer that issues it. The
+    /// measured latency starts when the driver decides to write; the verbs
+    /// post (doorbell, WQE build) delays actual injection — a real cost
+    /// every protocol pays.
+    fn start_write(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, op: WriteOp) {
+        let (file, size) = (op.file, op.size());
+        let placed = match op.offset {
+            None => self.control.borrow_mut().place_write(file, size),
+            Some(o) => self.control.borrow_mut().place_write_at(file, size, o),
+        };
+        let start = ctx.now();
+        let span = self.span_begin(OpKind::Write, nic, start, || {
+            format!("write f{file} {size}B")
+        });
+        let Ok(placement) = placed else {
+            // Typed metadata miss: the job fails, the client moves on.
+            self.fail_write(nic, ctx, op, 0, start, span);
+            return;
+        };
+        self.span_mark(span, phase::RESOLVED, start);
+        self.span_correlate(placement.greq, span);
+        self.trace.borrow_mut().emit_with(start, "control", || {
+            format!("place-write f{file} {size}B greq={}", placement.greq)
+        });
+        let t_post = nic.cpu.exec(start, nic.cpu.costs.post_send);
+        let step = Deferred::Issue {
+            op,
+            placement,
+            start,
+        };
+        self.defer(nic, ctx, t_post.since(start), step);
+    }
+
+    /// Complete a write that failed before any byte moved (metadata miss,
+    /// file gone, protocol the file's policy cannot take) with `Rejected`
+    /// instead of letting it vanish, and refill the window.
+    fn fail_write(
+        &mut self,
+        nic: &mut NicCore,
+        ctx: &mut Ctx<'_>,
+        op: WriteOp,
+        retries: u32,
+        start: Time,
+        span: SpanId,
+    ) {
+        self.span_end(span, ctx.now(), false);
+        let greq = self.control.borrow_mut().alloc_greq();
+        let result = WriteResult {
+            greq,
+            client: nic.node(),
+            protocol: op.protocol,
+            size: op.size(),
+            start,
+            end: ctx.now(),
+            status: Status::Rejected,
+            retries,
+            checksum: 0,
+            placement: WritePlacement::rejected(greq),
+        };
+        self.deliver(op.slot, result);
+        self.fill(nic, ctx);
     }
 
     /// Flush buffered write-back attrs (one control round-trip for the
@@ -1060,115 +1086,129 @@ impl ClientApp {
         if cache_hit {
             self.span_mark(span, phase::CACHE_HIT, start);
         }
-        let tag = META_BASE | self.next_meta_tag;
-        self.next_meta_tag += 1;
         self.meta_in_flight += 1;
-        self.meta_stash.push((
-            tag,
-            PendingMeta {
-                token,
-                kind: op.kind(),
-                start,
-                cache_hit,
-                result,
-                span,
-            },
-        ));
-        nic.set_timer(ctx, cost, tag);
+        let pm = PendingMeta {
+            token,
+            kind: op.kind(),
+            start,
+            cache_hit,
+            result,
+            span,
+        };
+        self.defer(nic, ctx, cost, Deferred::Meta(pm));
+    }
+
+    /// A metadata op's latency elapsed: deliver its completion.
+    fn finish_meta(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, pm: PendingMeta) {
+        self.meta_in_flight -= 1;
+        self.span_end(pm.span, ctx.now(), pm.result.is_ok());
+        if self.bulk_meta_span != 0 && pm.result.is_err() {
+            self.bulk_meta_errs += 1;
+        }
+        let result = MetaResult {
+            token: pm.token,
+            client: nic.node(),
+            op: pm.kind,
+            start: pm.start,
+            end: ctx.now(),
+            cache_hit: pm.cache_hit,
+            result: pm.result,
+        };
+        self.deliver(None, result);
+        self.fill(nic, ctx);
+        self.finish_bulk_meta_span(ctx);
     }
 
     /// Resolve, fan out, and track one file-level read. A read-cache hit
     /// skips everything — the control-plane resolve, the capability
     /// header, the per-stripe fan-out — and completes from client memory
-    /// after a probe + copy latency. A miss resolves the range (plus a
-    /// readahead window for sequential streams), fans out one network
-    /// fetch per plan piece (one-sided read or RPC read), lands bytes at
-    /// their destination offsets in a client-memory buffer, and stages
-    /// degraded stripes' surviving shards for reconstruction at
-    /// completion time.
-    #[allow(clippy::too_many_arguments)]
-    fn start_read(
-        &mut self,
-        nic: &mut NicCore,
-        ctx: &mut Ctx<'_>,
-        file: u64,
-        offset: u64,
-        len: u32,
-        protocol: ReadProtocol,
-        token: u64,
-        slot: Option<ReadSlot>,
-    ) {
-        let start = ctx.now();
-        let span = self.span_begin(OpKind::Read, nic, start, || {
-            format!("read f{file} @{offset}+{len}")
-        });
+    /// after a probe latency. A miss resolves the range (plus a readahead
+    /// window for sequential streams), fans out one network fetch per
+    /// plan piece (one-sided read or RPC read), lands bytes at their
+    /// destination offsets in a client-memory buffer, and stages degraded
+    /// stripes' surviving shards for reconstruction at completion time.
+    fn start_read(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, req: ReadReq) {
+        let Some(req) = self.serve_from_cache(nic, ctx, req) else {
+            return;
+        };
         if self.read_cache_enabled {
-            let hit = self.read_cache.borrow_mut().lookup(file, offset, len);
-            if let Some(hit) = hit {
-                self.span_mark(span, phase::CACHE_HIT, start);
-                // Served from client memory: no resolve, no fan-out. The
-                // completion waits out the cache probe (the copy-out is
-                // not charged — the uncached path's completion doesn't
-                // charge one either; bytes land by DMA there).
-                let cost = self.meta_costs.cache_probe;
-                let tag = CACHE_FIN_BASE | self.next_cache_tag;
-                self.next_cache_tag += 1;
-                self.cache_fin_stash.push((
-                    tag,
-                    PendingCacheHit {
-                        token,
-                        file,
-                        protocol,
-                        offset,
-                        data: Bytes::from(hit.data),
-                        start,
-                        slot,
-                        span,
-                    },
-                ));
-                nic.set_timer(ctx, cost, tag);
-                return;
-            }
             // A range covered by an in-flight background readahead parks
             // here instead of double-fetching: the waiter resumes from
             // the cache (or the full miss path) when the fill lands.
             let covering = self.reads_in_flight.iter().find_map(|(id, op)| {
                 (op.background
-                    && op.file == file
-                    && op.offset <= offset
-                    && offset + len as u64 <= op.offset + op.len as u64)
+                    && op.file == req.file
+                    && op.offset <= req.offset
+                    && req.offset + req.len as u64 <= op.offset + op.len as u64)
                     .then_some(*id)
             });
             if let Some(op_id) = covering {
-                self.span_mark(span, phase::READAHEAD, start);
-                self.parked_reads += 1;
-                self.ra_waiters.entry(op_id).or_default().push(ReadReq {
-                    token,
-                    file,
-                    offset,
-                    len,
-                    protocol,
-                    slot,
-                    span,
-                    start,
-                });
+                self.span_mark(req.span, phase::READAHEAD, req.start);
+                self.ra_waiters.entry(op_id).or_default().push(req);
                 return;
             }
         }
-        self.start_read_miss(
+        self.start_read_miss(nic, ctx, req);
+    }
+
+    /// Serve `req` from the read cache when it holds the whole range. The
+    /// completion waits out the cache probe (the copy-out is not charged —
+    /// the uncached path's completion doesn't charge one either; bytes
+    /// land by DMA there). A miss hands the request back.
+    fn serve_from_cache(
+        &mut self,
+        nic: &mut NicCore,
+        ctx: &mut Ctx<'_>,
+        req: ReadReq,
+    ) -> Option<ReadReq> {
+        if !self.read_cache_enabled {
+            return Some(req);
+        }
+        let hit = self
+            .read_cache
+            .borrow_mut()
+            .lookup(req.file, req.offset, req.len);
+        let Some(hit) = hit else {
+            return Some(req);
+        };
+        self.span_mark(req.span, phase::CACHE_HIT, ctx.now());
+        let data = Bytes::from(hit.data);
+        self.defer(
             nic,
             ctx,
-            ReadReq {
-                token,
-                file,
-                offset,
-                len,
-                protocol,
-                slot,
-                span,
-                start,
-            },
+            self.meta_costs.cache_probe,
+            Deferred::CacheHit { req, data },
         );
+        None
+    }
+
+    /// A cache hit's probe latency elapsed: deliver it.
+    fn finish_cache_hit(
+        &mut self,
+        nic: &mut NicCore,
+        ctx: &mut Ctx<'_>,
+        req: ReadReq,
+        data: Bytes,
+    ) {
+        let end = ctx.now() + nic.cpu.costs.poll_notify;
+        self.span_end(req.span, end, true);
+        let completion = ReadCompletion {
+            token: req.token,
+            client: nic.node(),
+            file: req.file,
+            protocol: req.protocol,
+            offset: req.offset,
+            len: data.len() as u32,
+            start: req.start,
+            end,
+            status: Status::Ok,
+            degraded_stripes: 0,
+            from_cache: true,
+            checksum: payload_checksum(&data),
+            data,
+        };
+        self.deliver(req.slot, completion);
+        self.fill(nic, ctx);
     }
 
     /// The miss path of one read request: control-plane resolve (with
@@ -1230,10 +1270,7 @@ impl ClientApp {
                     checksum: 0,
                     data: Bytes::new(),
                 };
-                if let Some(slot) = &slot {
-                    *slot.borrow_mut() = Some(completion.clone());
-                }
-                self.results.borrow_mut().file_reads.push(completion);
+                self.deliver(slot, completion);
                 return;
             }
         };
@@ -1371,13 +1408,9 @@ impl ClientApp {
         let op_id = self.next_read_op;
         self.next_read_op += 1;
         let issue = self.build_read_issue(nic, &mut op, pieces, rebase);
-        if op.background {
-            self.background_reads += 1;
-        }
         self.reads_in_flight.insert(op_id, op);
-        let tag = READ_ISSUE_BASE | op_id;
-        self.read_issue_stash.push((tag, op_id, issue, dfs));
-        nic.set_timer(ctx, issue_at.since(ctx.now()), tag);
+        let step = Deferred::ReadIssue { op_id, issue, dfs };
+        self.defer(nic, ctx, issue_at.since(ctx.now()), step);
     }
 
     /// Build the wire program for one read op: per-piece fetches for the
@@ -1550,8 +1583,8 @@ impl ClientApp {
         match issue {
             ReadIssue::Fanout(fetches) => {
                 for (node, addr, flen, local) in fetches {
-                    let sub = READ_SUB_BASE | self.next_read_sub;
-                    self.next_read_sub += 1;
+                    let sub = self.next_sub;
+                    self.next_sub += 1;
                     self.read_sub_to_op.insert(sub, op_id);
                     let rrh = ReadReqHeader { addr, len: flen };
                     let msg = match protocol {
@@ -1578,8 +1611,8 @@ impl ClientApp {
             }
             ReadIssue::Gather(gathers) => {
                 for (node, grh) in gathers {
-                    let sub = READ_SUB_BASE | self.next_read_sub;
-                    self.next_read_sub += 1;
+                    let sub = self.next_sub;
+                    self.next_sub += 1;
                     self.read_sub_to_op.insert(sub, op_id);
                     // Segment offsets in the header are relative to the
                     // op's destination window; the streamed flow lands
@@ -1626,7 +1659,7 @@ impl ClientApp {
         let mut degraded_stripes = op.offloaded_degraded;
         if status == Status::Ok {
             for d in &op.degraded {
-                if self.reconstruct_stripe(nic, &op, d).is_err() {
+                if self.reconstruct_stripe(nic, op.dest, d).is_err() {
                     status = Status::Rejected;
                     break;
                 }
@@ -1636,7 +1669,6 @@ impl ClientApp {
         if op.background {
             // Readahead tail: populate the cache, deliver nothing. The
             // caller's miss already completed without waiting on this.
-            self.background_reads = self.background_reads.saturating_sub(1);
             if status == Status::Ok && self.read_cache_enabled {
                 let fetched = nic.memory().borrow().read(op.dest, op.len as usize);
                 let mut rc = self.read_cache.borrow_mut();
@@ -1648,8 +1680,9 @@ impl ClientApp {
             // Reads that parked on this fill resume now: from the cache
             // when the fill landed, else through the full miss path.
             for w in self.ra_waiters.remove(&op_id).unwrap_or_default() {
-                self.parked_reads = self.parked_reads.saturating_sub(1);
-                self.resume_parked_read(nic, ctx, w);
+                if let Some(w) = self.serve_from_cache(nic, ctx, w) {
+                    self.start_read_miss(nic, ctx, w);
+                }
             }
             self.fill(nic, ctx);
             return;
@@ -1705,135 +1738,118 @@ impl ClientApp {
             checksum,
             data,
         };
-        if let Some(slot) = &op.slot {
-            *slot.borrow_mut() = Some(completion.clone());
-        }
-        self.results.borrow_mut().file_reads.push(completion);
+        self.deliver(op.slot, completion);
         self.fill(nic, ctx);
-    }
-
-    /// A read parked on a background readahead resumes: the fill it
-    /// waited on usually makes it a cache hit (delivered under its
-    /// original span and start time); a failed or gone-stale fill falls
-    /// back to the full miss path.
-    fn resume_parked_read(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, w: ReadReq) {
-        let hit = if self.read_cache_enabled {
-            self.read_cache.borrow_mut().lookup(w.file, w.offset, w.len)
-        } else {
-            None
-        };
-        if let Some(hit) = hit {
-            self.span_mark(w.span, phase::CACHE_HIT, ctx.now());
-            let cost = self.meta_costs.cache_probe;
-            let tag = CACHE_FIN_BASE | self.next_cache_tag;
-            self.next_cache_tag += 1;
-            self.cache_fin_stash.push((
-                tag,
-                PendingCacheHit {
-                    token: w.token,
-                    file: w.file,
-                    protocol: w.protocol,
-                    offset: w.offset,
-                    data: Bytes::from(hit.data),
-                    start: w.start,
-                    slot: w.slot,
-                    span: w.span,
-                },
-            ));
-            nic.set_timer(ctx, cost, tag);
-        } else {
-            self.start_read_miss(nic, ctx, w);
-        }
     }
 
     /// Rebuild the missing data chunks of one degraded stripe from the
     /// staged survivors and copy the requested ranges into the
-    /// destination buffer. Shard buffers come from the NIC's recycled
-    /// ring; the decode matrix from the codec's per-pattern cache.
+    /// destination buffer at `dest`.
     fn reconstruct_stripe(
         &mut self,
         nic: &NicCore,
-        op: &PendingReadOp,
+        dest: u64,
         d: &DegradedFetch,
     ) -> Result<(), nadfs_gfec::RsError> {
-        let (k, m) = (d.scheme.k as usize, d.scheme.m as usize);
-        let rs = self
-            .rs_cache
-            .entry((d.scheme.k, d.scheme.m))
-            .or_insert_with(|| ReedSolomon::new(k, m).expect("valid RS scheme"));
-        let mem = nic.memory();
-        let pool = nic.buf_pool();
-        let clen = d.chunk_len as usize;
-        // Stage the fetched shards into pooled buffers.
-        let mut survivor_bufs: Vec<Vec<u8>> = Vec::with_capacity(d.fetched.len());
-        for slot_i in 0..d.fetched.len() {
-            let mut buf = pool.borrow_mut().get_dirty(clen);
-            mem.borrow()
-                .read_into(d.scratch + slot_i as u64 * clen as u64, &mut buf);
-            survivor_bufs.push(buf);
-        }
-        let mut shards: Vec<Option<&[u8]>> = vec![None; k + m];
-        for (slot_i, &idx) in d.fetched.iter().enumerate() {
-            shards[idx] = Some(&survivor_bufs[slot_i]);
-        }
         let mut want: Vec<usize> = d.copy.iter().map(|c| c.chunk).collect();
         want.sort_unstable();
         want.dedup();
+        let fetched = d.fetched.iter().copied();
+        let outs = self.rebuild_shards(nic, d.scheme, d.chunk_len, d.scratch, fetched, &want)?;
+        self.read_stats.borrow_mut().reconstructed_stripes += 1;
+        let mem = nic.memory();
+        let mut memory = mem.borrow_mut();
+        for c in &d.copy {
+            let o = want.binary_search(&c.chunk).expect("wanted chunk");
+            let lo = c.chunk_off as usize;
+            memory.write(dest + c.dest_off as u64, &outs[o][lo..lo + c.len as usize]);
+        }
+        let pool = nic.buf_pool();
+        let mut p = pool.borrow_mut();
+        for buf in outs {
+            p.put(buf);
+        }
+        Ok(())
+    }
+
+    /// Rebuild shards `want` (sorted shard indices) of one RS stripe from
+    /// survivors staged in client memory: fetch slot `i` holds shard
+    /// `fetched[i]` at `scratch + i * chunk_len`. The survivors are staged
+    /// into pooled buffers and returned to the pool; the rebuilt shards
+    /// come back in pooled buffers, in `want` order. Shard buffers come
+    /// from the NIC's recycled ring; the decode matrix from the codec's
+    /// per-pattern cache.
+    fn rebuild_shards(
+        &mut self,
+        nic: &NicCore,
+        scheme: RsScheme,
+        chunk_len: u32,
+        scratch: u64,
+        fetched: impl Iterator<Item = usize>,
+        want: &[usize],
+    ) -> Result<Vec<Vec<u8>>, nadfs_gfec::RsError> {
+        let (k, m) = (scheme.k as usize, scheme.m as usize);
+        let rs = self
+            .rs_cache
+            .entry((scheme.k, scheme.m))
+            .or_insert_with(|| ReedSolomon::new(k, m).expect("valid RS scheme"));
+        let mem = nic.memory();
+        let pool = nic.buf_pool();
+        let clen = chunk_len as usize;
+        let mut staged: Vec<(usize, Vec<u8>)> = Vec::with_capacity(k);
+        for (slot_i, idx) in fetched.enumerate() {
+            let mut buf = pool.borrow_mut().get_dirty(clen);
+            mem.borrow()
+                .read_into(scratch + slot_i as u64 * clen as u64, &mut buf);
+            staged.push((idx, buf));
+        }
+        let mut shards: Vec<Option<&[u8]>> = vec![None; k + m];
+        for (idx, buf) in &staged {
+            shards[*idx] = Some(buf);
+        }
         let mut outs: Vec<Vec<u8>> = {
             let mut p = pool.borrow_mut();
             want.iter().map(|_| p.get_dirty(clen)).collect()
         };
-        let r = rs.reconstruct_into(&shards, &want, &mut outs);
-        if r.is_ok() {
-            self.read_stats.borrow_mut().reconstructed_stripes += 1;
-            let mut memory = mem.borrow_mut();
-            for c in &d.copy {
-                let o = want.binary_search(&c.chunk).expect("wanted chunk");
-                let lo = c.chunk_off as usize;
-                memory.write(
-                    op.dest + c.dest_off as u64,
-                    &outs[o][lo..lo + c.len as usize],
-                );
-            }
-        }
+        let r = rs.reconstruct_into(&shards, want, &mut outs);
         let mut p = pool.borrow_mut();
-        for buf in survivor_bufs.into_iter().chain(outs) {
+        for (_, buf) in staged {
             p.put(buf);
         }
-        r
+        match r {
+            Ok(()) => Ok(outs),
+            Err(e) => {
+                for buf in outs {
+                    p.put(buf);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Deliver a repair completion (success, typed unrepairable, or
     /// abort) and refill the window.
-    #[allow(clippy::too_many_arguments)]
     fn deliver_repair(
         &mut self,
         nic: &mut NicCore,
         ctx: &mut Ctx<'_>,
-        token: u64,
-        task: RepairTask,
-        start: Time,
+        req: RepairReq,
         status: Status,
         outcome: RepairOutcome,
         bytes_moved: u64,
-        slot: Option<RepairSlot>,
-        span: SpanId,
     ) {
         let result = RepairResult {
-            token,
+            token: req.token,
             client: nic.node(),
-            task,
+            task: req.task,
             status,
             outcome,
-            start,
+            start: req.start,
             end: ctx.now() + nic.cpu.costs.poll_notify,
             bytes_moved,
         };
-        self.span_end(span, result.end, status == Status::Ok);
-        if let Some(slot) = &slot {
-            *slot.borrow_mut() = Some(result.clone());
-        }
-        self.results.borrow_mut().repairs.push(result);
+        self.span_end(req.span, result.end, status == Status::Ok);
+        self.deliver(req.slot, result);
         self.fill(nic, ctx);
     }
 
@@ -1852,6 +1868,13 @@ impl ClientApp {
         let span = self.span_begin(OpKind::Repair, nic, start, || {
             format!("repair f{}", task.file)
         });
+        let req = RepairReq {
+            token,
+            task,
+            start,
+            slot,
+            span,
+        };
         let planned = self.control.borrow_mut().plan_repair(task);
         self.trace
             .borrow_mut()
@@ -1862,18 +1885,8 @@ impl ClientApp {
                 // Typed: the extent cannot be re-protected (or vanished).
                 // The task dies here — release its compaction pin.
                 self.control.borrow_mut().abandon_repair(task);
-                self.deliver_repair(
-                    nic,
-                    ctx,
-                    token,
-                    task,
-                    start,
-                    Status::Rejected,
-                    RepairOutcome::Unrepairable(e),
-                    0,
-                    slot,
-                    span,
-                );
+                let outcome = RepairOutcome::Unrepairable(e);
+                self.deliver_repair(nic, ctx, req, Status::Rejected, outcome, 0);
                 return;
             }
         };
@@ -1882,18 +1895,8 @@ impl ClientApp {
                 // Nothing to move, nothing to commit: the task is done —
                 // release its compaction pin.
                 self.control.borrow_mut().abandon_repair(task);
-                self.deliver_repair(
-                    nic,
-                    ctx,
-                    token,
-                    task,
-                    start,
-                    Status::Ok,
-                    RepairOutcome::AlreadyHealthy,
-                    0,
-                    slot,
-                    span,
-                );
+                let outcome = RepairOutcome::AlreadyHealthy;
+                self.deliver_repair(nic, ctx, req, Status::Ok, outcome, 0);
                 return;
             }
             RepairPlan::EcRebuild {
@@ -1911,25 +1914,21 @@ impl ClientApp {
         self.span_mark(span, phase::RESOLVED, ctx.now());
         self.span_correlate(greq, span);
         let mut op = PendingRepair {
-            token,
-            task,
+            req,
             plan,
             scratch,
-            start,
             fetch_left: fetches.len() as u32,
             write_acks_left: 0,
             writing: false,
             bytes_moved: 0,
             msgs: Vec::new(),
             subs: Vec::new(),
-            slot,
             greqs: vec![greq],
-            span,
         };
         let mut off = 0u64;
         for (coord, flen) in fetches {
-            let sub = REPAIR_SUB_BASE | self.next_read_sub;
-            self.next_read_sub += 1;
+            let sub = self.next_sub;
+            self.next_sub += 1;
             self.repair_sub_to_op.insert(sub, op_id);
             let rrh = ReadReqHeader {
                 addr: coord.addr,
@@ -1953,16 +1952,12 @@ impl ClientApp {
         self.repairs_in_flight.insert(op_id, op);
     }
 
-    /// Abort an in-flight repair (a fetch NACKed or a spare write
-    /// failed): cancel outstanding reads, drop the tracking state, and
-    /// deliver a typed `Aborted` completion the driver can retry.
-    fn fail_repair(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, op_id: u64, status: Status) {
-        let Some(op) = self.repairs_in_flight.remove(&op_id) else {
-            return;
-        };
+    /// Stop tracking a repair op: drop its message, sub-fetch and span
+    /// correlations.
+    fn take_repair(&mut self, op_id: u64) -> Option<PendingRepair> {
+        let op = self.repairs_in_flight.remove(&op_id)?;
         for m in &op.msgs {
             self.repair_msg_to_op.remove(m);
-            nic.cancel_read(*m);
         }
         for s in &op.subs {
             self.repair_sub_to_op.remove(s);
@@ -1970,18 +1965,21 @@ impl ClientApp {
         for g in &op.greqs {
             self.span_decorrelate(*g);
         }
-        self.deliver_repair(
-            nic,
-            ctx,
-            op.token,
-            op.task,
-            op.start,
-            status,
-            RepairOutcome::Aborted(status),
-            0,
-            op.slot,
-            op.span,
-        );
+        Some(op)
+    }
+
+    /// Abort an in-flight repair (a fetch NACKed or a spare write
+    /// failed): cancel outstanding reads, drop the tracking state, and
+    /// deliver a typed `Aborted` completion the driver can retry.
+    fn fail_repair(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, op_id: u64, status: Status) {
+        let Some(op) = self.take_repair(op_id) else {
+            return;
+        };
+        for m in &op.msgs {
+            nic.cancel_read(*m);
+        }
+        let outcome = RepairOutcome::Aborted(status);
+        self.deliver_repair(nic, ctx, op.req, status, outcome, 0);
     }
 
     /// All survivors landed: rebuild the lost shards (CPU cost already
@@ -1990,7 +1988,7 @@ impl ClientApp {
         let Some((task, scratch, plan)) = self
             .repairs_in_flight
             .get(&op_id)
-            .map(|op| (op.task, op.scratch, op.plan.clone()))
+            .map(|op| (op.req.task, op.scratch, op.plan.clone()))
         else {
             return;
         };
@@ -2007,59 +2005,26 @@ impl ClientApp {
                 fetch,
                 rebuild,
             } => {
-                let (k, m) = (scheme.k as usize, scheme.m as usize);
-                let rs = self
-                    .rs_cache
-                    .entry((scheme.k, scheme.m))
-                    .or_insert_with(|| ReedSolomon::new(k, m).expect("valid RS scheme"));
-                let clen = *chunk_len as usize;
-                let mem = nic.memory();
-                let pool = nic.buf_pool();
-                let mut survivor_bufs: Vec<Vec<u8>> = Vec::with_capacity(fetch.len());
-                for slot_i in 0..fetch.len() {
-                    let mut buf = pool.borrow_mut().get_dirty(clen);
-                    mem.borrow()
-                        .read_into(scratch + slot_i as u64 * clen as u64, &mut buf);
-                    survivor_bufs.push(buf);
-                }
-                let mut shards: Vec<Option<&[u8]>> = vec![None; k + m];
-                for (slot_i, (idx, _)) in fetch.iter().enumerate() {
-                    shards[*idx] = Some(&survivor_bufs[slot_i]);
-                }
-                let want: Vec<usize> = {
-                    let mut w: Vec<usize> = rebuild.iter().map(|&(s, _)| s).collect();
-                    w.sort_unstable();
-                    w
-                };
-                let mut outs: Vec<Vec<u8>> = {
-                    let mut p = pool.borrow_mut();
-                    want.iter().map(|_| p.get_dirty(clen)).collect()
-                };
-                let r = rs.reconstruct_into(&shards, &want, &mut outs);
-                {
-                    let mut p = pool.borrow_mut();
-                    for buf in survivor_bufs {
-                        p.put(buf);
-                    }
-                }
-                if r.is_err() {
-                    let mut p = pool.borrow_mut();
-                    for buf in outs {
-                        p.put(buf);
-                    }
+                let mut want: Vec<usize> = rebuild.iter().map(|&(s, _)| s).collect();
+                want.sort_unstable();
+                let fetched = fetch.iter().map(|&(i, _)| i);
+                let rebuilt =
+                    self.rebuild_shards(nic, *scheme, *chunk_len, scratch, fetched, &want);
+                let Ok(outs) = rebuilt else {
                     // Shard-count/size mismatch is a programming error in
                     // the plan, but surface it as an abort, not a panic.
                     self.fail_repair(nic, ctx, op_id, Status::Rejected);
                     return;
-                }
-                let mut by_slot: Vec<(ReplicaCoord, Bytes)> = Vec::with_capacity(rebuild.len());
+                };
                 let mut outs: Vec<Option<Vec<u8>>> = outs.into_iter().map(Some).collect();
-                for &(slot, coord) in rebuild {
-                    let o = want.binary_search(&slot).expect("wanted shard");
-                    let buf = outs[o].take().expect("each shard written once");
-                    by_slot.push((coord, Bytes::from(buf)));
-                }
-                by_slot
+                rebuild
+                    .iter()
+                    .map(|&(slot, coord)| {
+                        let o = want.binary_search(&slot).expect("wanted shard");
+                        let buf = outs[o].take().expect("each shard written once");
+                        (coord, Bytes::from(buf))
+                    })
+                    .collect()
             }
         };
         let greq = self.control.borrow_mut().alloc_greq();
@@ -2070,7 +2035,7 @@ impl ClientApp {
             op.writing = true;
             op.write_acks_left = writes.len() as u32;
             op.greqs.push(greq);
-            op.span
+            op.req.span
         };
         self.span_mark(span, phase::REBUILT, ctx.now());
         self.span_correlate(greq, span);
@@ -2097,26 +2062,17 @@ impl ClientApp {
     /// Every spare write acknowledged: commit the re-homing into the
     /// extent map (generation bump + cache invalidation) and complete.
     fn commit_and_complete_repair(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, op_id: u64) {
-        let Some(op) = self.repairs_in_flight.remove(&op_id) else {
+        let Some(op) = self.take_repair(op_id) else {
             return;
         };
-        for m in &op.msgs {
-            self.repair_msg_to_op.remove(m);
-        }
-        for s in &op.subs {
-            self.repair_sub_to_op.remove(s);
-        }
-        for g in &op.greqs {
-            self.span_decorrelate(*g);
-        }
         let replacements = op.plan.replacements();
-        let committed = self.control.borrow_mut().commit_repair(
-            op.task,
-            &replacements,
-            ctx.now().as_ns() as u64,
-        );
+        let task = op.req.task;
+        let committed =
+            self.control
+                .borrow_mut()
+                .commit_repair(task, &replacements, ctx.now().as_ns() as u64);
         self.trace.borrow_mut().emit_with(ctx.now(), "control", || {
-            format!("commit-repair f{}", op.task.file)
+            format!("commit-repair f{}", task.file)
         });
         let (status, outcome) = match committed {
             Ok(()) => {
@@ -2136,63 +2092,41 @@ impl ClientApp {
             Err(e) => (Status::Rejected, RepairOutcome::Unrepairable(e)),
         };
         if status == Status::Ok {
-            self.span_mark(op.span, phase::COMMITTED, ctx.now());
+            self.span_mark(op.req.span, phase::COMMITTED, ctx.now());
         }
-        self.deliver_repair(
-            nic,
-            ctx,
-            op.token,
-            op.task,
-            op.start,
-            status,
-            outcome,
-            op.bytes_moved,
-            op.slot,
-            op.span,
-        );
+        self.deliver_repair(nic, ctx, op.req, status, outcome, op.bytes_moved);
     }
 
+    /// The write's doorbell cost (or `Busy` backoff) elapsed: put its
+    /// protocol's wire program on the NIC.
     fn issue_write(
         &mut self,
         nic: &mut NicCore,
         ctx: &mut Ctx<'_>,
-        job: Job,
+        op: WriteOp,
         placement: WritePlacement,
         retries: u32,
         start: Time,
     ) {
         let greq = placement.greq;
         let span = self.span_of(greq);
-        let (file, size, protocol, data, slot) = match &job {
-            Job::Write {
-                file,
-                size,
-                protocol,
-                seed,
-            } => (*file, *size, *protocol, Self::payload(*seed, *size), None),
-            Job::WriteAt {
-                file,
-                data,
-                protocol,
-                slot,
-                ..
-            } => (
-                *file,
-                data.len() as u32,
-                *protocol,
-                data.clone(),
-                slot.clone(),
-            ),
-            _ => return,
-        };
+        let (file, size, protocol) = (op.file, op.size(), op.protocol);
+        let data = op.data.clone();
         let abandon = self
             .abandon_every
             .map(|n| self.jobs_started.is_multiple_of(n))
             .unwrap_or(false);
+        let policy = self.control.borrow().lookup(file).map(|m| m.policy.clone());
+        let Ok(policy) = policy else {
+            // The file vanished between placement and issue (e.g. an
+            // unlink raced a retry): fail the job, don't panic.
+            self.span_decorrelate(greq);
+            self.fail_write(nic, ctx, op, retries, start, span);
+            return;
+        };
         let mut pending = Pending {
-            job,
+            op,
             placement: placement.clone(),
-            data: data.clone(),
             checksum: payload_checksum(&data),
             start,
             acks_needed: 1,
@@ -2202,23 +2136,8 @@ impl ClientApp {
             status: Status::Ok,
             msgs: Vec::new(),
         };
-        let policy = self.control.borrow().lookup(file).map(|m| m.policy.clone());
-        let policy = match policy {
-            Ok(p) => p,
-            Err(_) => {
-                // The file vanished between placement and issue (e.g. an
-                // unlink raced a retry): fail the job, don't panic. The
-                // slot this job held must be refilled — issue_write runs
-                // from a timer, so no caller does it for us.
-                self.span_decorrelate(greq);
-                self.fail_write_job(nic, ctx, size, protocol, retries, start, slot, span);
-                self.fill(nic, ctx);
-                return;
-            }
-        };
-
-        match protocol {
-            WriteProtocol::Raw => {
+        match (protocol, policy) {
+            (WriteProtocol::Raw, _) => {
                 if placement.stripes.len() > 1 {
                     send_striped(&mut pending, nic, ctx, &placement, &data, None);
                 } else {
@@ -2232,7 +2151,7 @@ impl ClientApp {
                     pending.msgs.push(msg);
                 }
             }
-            WriteProtocol::Spin => {
+            (WriteProtocol::Spin, _) => {
                 let dfs = self.dfs_header(nic, file, greq);
                 if abandon {
                     // Abandon after the first packet of the first (or
@@ -2266,7 +2185,7 @@ impl ClientApp {
                     pending.msgs.push(msg);
                 }
             }
-            WriteProtocol::Rpc | WriteProtocol::RpcRdma => {
+            (WriteProtocol::Rpc | WriteProtocol::RpcRdma, _) => {
                 let inline = protocol == WriteProtocol::Rpc;
                 let dfs = self.dfs_header(nic, file, greq);
                 // One independent RPC per stripe extent (a width-1 layout
@@ -2314,7 +2233,7 @@ impl ClientApp {
                     off += len as usize;
                 }
             }
-            WriteProtocol::RdmaFlat => {
+            (WriteProtocol::RdmaFlat, _) => {
                 // One independent write per replica; full client trust.
                 pending.acks_needed = placement.replicas.len() as u32;
                 for coord in &placement.replicas {
@@ -2327,7 +2246,7 @@ impl ClientApp {
                     pending.msgs.push(msg);
                 }
             }
-            WriteProtocol::HyperLoop { chunk } => {
+            (WriteProtocol::HyperLoop { chunk }, _) => {
                 // Phase 1: configure the ring (k parallel WQE writes).
                 let k = placement.replicas.len();
                 pending.phase = Phase::HlConfiguring {
@@ -2350,10 +2269,7 @@ impl ClientApp {
                     pending.msgs.push(msg);
                 }
             }
-            WriteProtocol::CpuBcast { chunk } => {
-                let FilePolicy::Replicated { strategy, .. } = policy else {
-                    panic!("CpuBcast requires a replicated file");
-                };
+            (WriteProtocol::CpuBcast { chunk }, FilePolicy::Replicated { strategy, .. }) => {
                 let dfs = self.dfs_header(nic, file, greq);
                 let k = placement.replicas.len() as u32;
                 pending.acks_needed = k;
@@ -2391,10 +2307,7 @@ impl ClientApp {
                     }
                 }
             }
-            WriteProtocol::SpinReplicated => {
-                let FilePolicy::Replicated { strategy, .. } = policy else {
-                    panic!("SpinReplicated requires a replicated file");
-                };
+            (WriteProtocol::SpinReplicated, FilePolicy::Replicated { strategy, .. }) => {
                 let dfs = self.dfs_header(nic, file, greq);
                 pending.acks_needed = placement.replicas.len() as u32;
                 let wrh = WriteReqHeader {
@@ -2410,10 +2323,10 @@ impl ClientApp {
                     nic.send_write(ctx, placement.primary.node as NodeId, Some(dfs), wrh, data);
                 pending.msgs.push(msg);
             }
-            WriteProtocol::SpinTriec { .. } | WriteProtocol::InecTriec => {
-                let FilePolicy::ErasureCoded { scheme } = policy else {
-                    panic!("TriEC requires an erasure-coded file");
-                };
+            (
+                WriteProtocol::SpinTriec { .. } | WriteProtocol::InecTriec,
+                FilePolicy::ErasureCoded { scheme },
+            ) => {
                 let interleave = match protocol {
                     WriteProtocol::SpinTriec { interleave } => interleave,
                     _ => false,
@@ -2475,6 +2388,13 @@ impl ClientApp {
                     }
                 }
             }
+            _ => {
+                // Replication and TriEC need a file policy of their kind;
+                // the job is rejected before any byte moves.
+                self.span_decorrelate(greq);
+                self.fail_write(nic, ctx, pending.op, retries, start, span);
+                return;
+            }
         }
         self.span_mark(span, phase::FANNED_OUT, ctx.now());
         for m in &pending.msgs {
@@ -2489,22 +2409,7 @@ impl ClientApp {
         for m in &p.msgs {
             self.msg_to_greq.remove(m);
         }
-        let (file, size, protocol, slot) = match &p.job {
-            Job::Write {
-                file,
-                size,
-                protocol,
-                ..
-            } => (*file, *size, *protocol, None),
-            Job::WriteAt {
-                file,
-                data,
-                protocol,
-                slot,
-                ..
-            } => (*file, data.len() as u32, *protocol, slot.clone()),
-            _ => return,
-        };
+        let (file, size) = (p.op.file, p.op.size());
         // The application observes completion one poll interval after the
         // ack reaches the NIC (CQ polling cost, charged to every protocol).
         let end = ctx.now() + nic.cpu.costs.poll_notify;
@@ -2552,7 +2457,7 @@ impl ClientApp {
                     file,
                     generation,
                     p.placement.offset,
-                    &p.data,
+                    &p.op.data,
                 );
             }
             self.span_mark(span, phase::COMMITTED, ctx.now());
@@ -2561,7 +2466,7 @@ impl ClientApp {
         let result = WriteResult {
             greq,
             client: nic.node(),
-            protocol,
+            protocol: p.op.protocol,
             size,
             start: p.start,
             end,
@@ -2570,16 +2475,9 @@ impl ClientApp {
             checksum: p.checksum,
             placement: p.placement,
         };
-        if let Some(slot) = slot {
-            *slot.borrow_mut() = Some(result.clone());
-        }
-        self.results.borrow_mut().writes.push(result);
+        self.deliver(p.op.slot, result);
         self.fill(nic, ctx);
     }
-}
-
-fn job_clone(j: &Job) -> Job {
-    j.clone()
 }
 
 /// Plan-relative `[start, end)` byte range one read piece covers.
@@ -2690,56 +2588,34 @@ impl NicApp for ClientApp {
                     self.msg_to_greq.remove(m);
                 }
                 let retries = p.retries + 1;
-                let (file, size, protocol, slot) = match &p.job {
-                    Job::Write {
-                        file,
-                        size,
-                        protocol,
-                        ..
-                    } => (*file, *size, *protocol, None),
-                    Job::WriteAt {
-                        file,
-                        data,
-                        protocol,
-                        slot,
-                        ..
-                    } => (*file, data.len() as u32, *protocol, slot.clone()),
-                    _ => return,
-                };
                 // Re-place the same logical extent (fresh addresses, no
                 // cursor advance) and retry after a backoff. If the file
                 // is gone by now (unlinked under us), the job fails.
                 // Attr accounting needs no carrying: the write-back uses
                 // the committed-size growth `commit_write` reports when
                 // the retry eventually lands.
-                let prev_offset = p.placement.offset;
-                let placed = self
-                    .control
-                    .borrow_mut()
-                    .replace_write(file, size, prev_offset);
-                let placement = match placed {
-                    Ok(p) => p,
-                    Err(_) => {
-                        self.fail_write_job(
-                            nic,
-                            ctx,
-                            size,
-                            protocol,
-                            retries,
-                            ctx.now(),
-                            slot,
-                            span,
-                        );
-                        self.fill(nic, ctx);
-                        return;
-                    }
+                let placed = self.control.borrow_mut().replace_write(
+                    p.op.file,
+                    p.op.size(),
+                    p.placement.offset,
+                );
+                let Ok(placement) = placed else {
+                    self.fail_write(nic, ctx, p.op, retries, ctx.now(), span);
+                    return;
                 };
+                // Backing off, the write holds no window slot; the retry
+                // takes one back when it fires.
+                self.outstanding -= 1;
                 // The retry travels under a fresh greq: re-key the span.
                 self.span_correlate(placement.greq, span);
                 self.span_mark(span, phase::RETRIED, ctx.now());
-                let tag = RETRY_BASE | placement.greq;
-                self.retry_stash.push((tag, p.job, placement, retries));
-                nic.set_timer(ctx, Dur::from_us(5 * retries as u64), tag);
+                let backoff = Dur::from_us(5 * retries as u64);
+                let step = Deferred::Retry {
+                    op: p.op,
+                    placement,
+                    retries,
+                };
+                self.defer(nic, ctx, backoff, step);
             }
             Status::AuthFailed | Status::Rejected => {
                 p.status = ack.status;
@@ -2760,10 +2636,10 @@ impl NicApp for ClientApp {
                         let head = p.placement.replicas[0];
                         let wrh = WriteReqHeader {
                             target_addr: head.addr,
-                            len: p.data.len() as u32,
+                            len: p.op.size(),
                             resiliency: Resiliency::None,
                         };
-                        let data = p.data.clone();
+                        let data = p.op.data.clone();
                         let msg = nic.send_write(ctx, head.node as NodeId, None, wrh, data);
                         p.msgs.push(msg);
                         let greq2 = greq;
@@ -2795,9 +2671,7 @@ impl NicApp for ClientApp {
             let bytes = op.bytes_moved;
             let now = ctx.now();
             let t = nic.cpu.exec(now, nic.cpu.memcpy_cost(bytes));
-            let tag = REPAIR_FIN_BASE | op_id;
-            self.repair_fin_stash.push((tag, op_id));
-            nic.set_timer(ctx, t.since(now), tag);
+            self.defer(nic, ctx, t.since(now), Deferred::RepairFin(op_id));
             return;
         }
         // File-level read piece?
@@ -2825,24 +2699,9 @@ impl NicApp for ClientApp {
                     .sum();
                 let now = ctx.now();
                 let t = nic.cpu.exec(now, nic.cpu.memcpy_cost(bytes));
-                let tag = READ_FIN_BASE | op_id;
-                self.read_fin_stash.push((tag, op_id));
-                nic.set_timer(ctx, t.since(now), tag);
+                self.defer(nic, ctx, t.since(now), Deferred::ReadFin(op_id));
             }
-            return;
         }
-        // Legacy raw-region read.
-        let Some((addr, len)) = self.read_tokens.remove(&token) else {
-            return;
-        };
-        let bytes = nic.memory().borrow().read(addr, len as usize);
-        self.results.borrow_mut().reads.push(ReadResult {
-            token,
-            end: ctx.now(),
-            len,
-            checksum: payload_checksum(&bytes),
-        });
-        self.fill(nic, ctx);
     }
 
     fn on_timer(&mut self, nic: &mut NicCore, ctx: &mut Ctx<'_>, tag: u64) {
@@ -2850,90 +2709,30 @@ impl NicApp for ClientApp {
             self.fill(nic, ctx);
             return;
         }
-        if tag & META_BASE == META_BASE {
-            if let Some(idx) = self.meta_stash.iter().position(|(t, _)| *t == tag) {
-                let (_, pm) = self.meta_stash.remove(idx);
-                self.meta_in_flight -= 1;
-                self.span_end(pm.span, ctx.now(), pm.result.is_ok());
-                if self.bulk_meta_span != 0 && pm.result.is_err() {
-                    self.bulk_meta_errs += 1;
-                }
-                self.results.borrow_mut().metas.push(MetaResult {
-                    token: pm.token,
-                    client: nic.node(),
-                    op: pm.kind,
-                    start: pm.start,
-                    end: ctx.now(),
-                    cache_hit: pm.cache_hit,
-                    result: pm.result,
-                });
-                self.fill(nic, ctx);
-                self.finish_bulk_meta_span(ctx);
-            }
+        let Some(step) = self.deferred.remove(&tag) else {
             return;
-        }
-        if tag & CACHE_FIN_BASE == CACHE_FIN_BASE {
-            if let Some(idx) = self.cache_fin_stash.iter().position(|(t, _)| *t == tag) {
-                let (_, hit) = self.cache_fin_stash.remove(idx);
-                let slot = hit.slot;
-                let end = ctx.now() + nic.cpu.costs.poll_notify;
-                self.span_end(hit.span, end, true);
-                let completion = ReadCompletion {
-                    token: hit.token,
-                    client: nic.node(),
-                    file: hit.file,
-                    protocol: hit.protocol,
-                    offset: hit.offset,
-                    len: hit.data.len() as u32,
-                    start: hit.start,
-                    end,
-                    status: Status::Ok,
-                    degraded_stripes: 0,
-                    from_cache: true,
-                    checksum: payload_checksum(&hit.data),
-                    data: hit.data,
-                };
-                if let Some(slot) = &slot {
-                    *slot.borrow_mut() = Some(completion.clone());
-                }
-                self.results.borrow_mut().file_reads.push(completion);
-                self.fill(nic, ctx);
+        };
+        match step {
+            Deferred::Issue {
+                op,
+                placement,
+                start,
+            } => self.issue_write(nic, ctx, op, placement, 0, start),
+            Deferred::Retry {
+                op,
+                placement,
+                retries,
+            } => {
+                self.outstanding += 1;
+                self.issue_write(nic, ctx, op, placement, retries, ctx.now());
             }
-            return;
-        }
-        if tag & READ_ISSUE_BASE == READ_ISSUE_BASE {
-            if let Some(idx) = self.read_issue_stash.iter().position(|(t, ..)| *t == tag) {
-                let (_, op_id, issue, dfs) = self.read_issue_stash.remove(idx);
-                self.issue_read_fanout(nic, ctx, op_id, issue, dfs);
+            Deferred::Meta(pm) => self.finish_meta(nic, ctx, pm),
+            Deferred::CacheHit { req, data } => self.finish_cache_hit(nic, ctx, req, data),
+            Deferred::ReadIssue { op_id, issue, dfs } => {
+                self.issue_read_fanout(nic, ctx, op_id, issue, dfs)
             }
-            return;
-        }
-        if tag & READ_FIN_BASE == READ_FIN_BASE {
-            if let Some(idx) = self.read_fin_stash.iter().position(|(t, _)| *t == tag) {
-                let (_, op_id) = self.read_fin_stash.remove(idx);
-                self.complete_read(nic, ctx, op_id);
-            }
-            return;
-        }
-        if tag & REPAIR_FIN_BASE == REPAIR_FIN_BASE {
-            if let Some(idx) = self.repair_fin_stash.iter().position(|(t, _)| *t == tag) {
-                let (_, op_id) = self.repair_fin_stash.remove(idx);
-                self.repair_rebuild_and_write(nic, ctx, op_id);
-            }
-            return;
-        }
-        if tag & RETRY_BASE == RETRY_BASE {
-            if let Some(idx) = self.retry_stash.iter().position(|(t, ..)| *t == tag) {
-                let (_, job, placement, retries) = self.retry_stash.remove(idx);
-                self.issue_write(nic, ctx, job, placement, retries, ctx.now());
-            }
-            return;
-        }
-        if tag & ISSUE_BASE == ISSUE_BASE {
-            if let Some(idx) = self.issue_stash.iter().position(|(t, ..)| *t == tag) {
-                let (_, job, placement, start) = self.issue_stash.remove(idx);
-                self.issue_write(nic, ctx, job, placement, 0, start);
-            }
+            Deferred::ReadFin(op_id) => self.complete_read(nic, ctx, op_id),
+            Deferred::RepairFin(op_id) => self.repair_rebuild_and_write(nic, ctx, op_id),
         }
     }
 }

@@ -1,8 +1,13 @@
 //! Cross-crate end-to-end tests: every protocol stores correct bytes,
 //! resiliency policies hold algebraically, and failure paths behave.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use bytes::Bytes;
 use nadfs_core::{
-    ClusterSpec, CostModel, FilePolicy, Job, SimCluster, StorageMode, WriteProtocol, WriteResult,
+    ClusterSpec, CostModel, FilePolicy, Job, ReadProtocol, SimCluster, StorageMode, WriteProtocol,
+    WriteResult,
 };
 use nadfs_gfec::ReedSolomon;
 use nadfs_simnet::Dur;
@@ -318,29 +323,109 @@ fn abandoned_write_is_cleaned_up_and_storage_keeps_working() {
     assert_eq!(c2.run_until_writes(1, 1_000), 1);
 }
 
+/// A file read of a `Raw`-protocol write returns the written bytes: with
+/// the client read cache off, the bytes come back from storage and their
+/// checksum equals the one the write reported for its payload.
 #[test]
 fn raw_read_returns_written_bytes() {
-    let (mut c, r) = write_once(
-        StorageMode::Plain,
-        FilePolicy::Plain,
-        WriteProtocol::Raw,
-        100_000,
-        1,
-        77,
+    let spec = ClusterSpec::new(1, 1, StorageMode::Plain);
+    let mut c = SimCluster::build_with(spec, |app| app.read_cache_enabled = false);
+    let file = c.control.borrow_mut().create_file(0, FilePolicy::Plain).id;
+    c.submit(
+        0,
+        Job::Write {
+            file,
+            size: 100_000,
+            protocol: WriteProtocol::Raw,
+            seed: 77,
+        },
     );
     c.submit(
         0,
-        Job::RawRead {
-            node: r.placement.primary.node as usize,
-            addr: r.placement.primary.addr,
+        Job::Read {
+            file,
+            offset: 0,
             len: 100_000,
+            protocol: ReadProtocol::Rdma,
             token: 42,
+            slot: None,
         },
     );
-    // Wake the (now idle) client driver.
     c.start();
-    c.run_ms(5);
-    let reads = &c.results.borrow().reads;
-    assert_eq!(reads.len(), 1);
-    assert_eq!(reads[0].token, 42);
+    assert_eq!(c.run_until_file_reads(1, 1_000), 1);
+    let results = c.results.borrow();
+    let (w, r) = (&results.writes[0], &results.file_reads[0]);
+    assert_eq!(w.status, Status::Ok);
+    assert_eq!((r.token, r.status, r.len), (42, Status::Ok, 100_000));
+    assert!(!r.from_cache, "the read must come back from storage");
+    assert_eq!(r.checksum, w.checksum);
+    assert_eq!(r.data.as_ref(), &payload(77, 100_000)[..]);
+}
+
+/// A write whose protocol needs a file policy the file lacks (replication
+/// on a plain file, TriEC on a replicated one) completes `Rejected`
+/// before any byte moves, through its slot and the sink, and the client
+/// goes on to serve the next job.
+#[test]
+fn protocol_policy_mismatch_is_rejected_not_a_panic() {
+    let replicated = FilePolicy::Replicated {
+        k: 3,
+        strategy: BcastStrategy::Ring,
+    };
+    for (policy, bad, good) in [
+        (
+            FilePolicy::Plain,
+            WriteProtocol::CpuBcast { chunk: 32 << 10 },
+            WriteProtocol::Spin,
+        ),
+        (
+            FilePolicy::Plain,
+            WriteProtocol::SpinReplicated,
+            WriteProtocol::Spin,
+        ),
+        (
+            replicated,
+            WriteProtocol::SpinTriec { interleave: true },
+            WriteProtocol::SpinReplicated,
+        ),
+    ] {
+        let mut c = SimCluster::build(ClusterSpec::new(1, 3, StorageMode::Spin));
+        let file = c.control.borrow_mut().create_file(0, policy).id;
+        let slot = Rc::new(RefCell::new(None));
+        c.submit(
+            0,
+            Job::WriteAt {
+                file,
+                offset: None,
+                data: Bytes::from(vec![7u8; 4096]),
+                protocol: bad,
+                slot: Some(slot.clone()),
+            },
+        );
+        c.submit(
+            0,
+            Job::Write {
+                file,
+                size: 4096,
+                protocol: good,
+                seed: 1,
+            },
+        );
+        c.start();
+        assert_eq!(c.run_until_writes(2, 1_000), 2, "{bad:?}");
+        let results = c.results.borrow();
+        assert_eq!(results.writes[0].status, Status::Rejected, "{bad:?}");
+        let delivered = slot.borrow().as_ref().map(|w| (w.greq, w.status));
+        assert_eq!(delivered, Some((results.writes[0].greq, Status::Rejected)));
+        assert_eq!(
+            results.writes[1].status,
+            Status::Ok,
+            "{good:?} after {bad:?}"
+        );
+        assert_eq!(
+            c.obs.borrow().spans.open_count(),
+            0,
+            "{bad:?} leaked a span"
+        );
+    }
 }
