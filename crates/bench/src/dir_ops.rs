@@ -8,7 +8,7 @@
 
 use nadfs_core::{ClusterSpec, LayoutSpec, MetaOpKind, MetaWorkload, SimCluster, StorageMode};
 
-use crate::report::{f, Table};
+use crate::report::{f, mean_p99, Table};
 
 const KINDS: [(MetaOpKind, &str); 6] = [
     (MetaOpKind::Mkdir, "mkdir"),
@@ -62,12 +62,7 @@ fn run(n_clients: usize, cache_enabled: bool) -> RunStats {
                 .filter(|m| m.op == kind)
                 .map(|m| m.end.since(m.start).ps() as f64 / 1e6)
                 .collect();
-            us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            if us.is_empty() {
-                return (0.0, 0.0, 0);
-            }
-            let mean = us.iter().sum::<f64>() / us.len() as f64;
-            let p99 = us[(us.len() - 1).min(us.len() * 99 / 100)];
+            let (mean, p99) = mean_p99(&mut us);
             (mean, p99, us.len())
         })
         .collect();

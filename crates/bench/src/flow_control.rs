@@ -24,7 +24,7 @@ use nadfs_core::{
 use nadfs_simnet::{CreditConfig, MetricsSnapshot};
 use nadfs_wire::Status;
 
-use crate::report::{f, Table};
+use crate::report::{f, mean_p99, Table};
 
 const BLOCK: u32 = 64 << 10;
 
@@ -114,16 +114,6 @@ impl Sizes {
     }
 }
 
-fn lat_us(samples: &mut [f64]) -> (f64, f64) {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    if samples.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let p99 = samples[(samples.len() - 1).min(samples.len() * 99 / 100)];
-    (mean, p99)
-}
-
 fn counter(m: &MetricsSnapshot, name: &str) -> u64 {
     m.counter(name).unwrap_or(0)
 }
@@ -175,7 +165,7 @@ fn run_scale(n_clients: usize, writes_per_client: usize) -> (ScalePoint, String)
             .iter()
             .map(|w| w.end.since(w.start).ps() as f64 / 1e6)
             .collect();
-        let (mean, p99) = lat_us(&mut us);
+        let (mean, p99) = mean_p99(&mut us);
         (bytes, t1.since(t0).ps() as f64 / 1e12, mean, p99)
     };
     let m = cl.metrics_snapshot();
@@ -311,7 +301,7 @@ fn run_fairness(tenants: &[(u32, usize)], writes_per_client: usize) -> FairnessS
             .iter()
             .map(|w| w.end.since(w.start).ps() as f64 / 1e6)
             .collect();
-        let (mean, p99) = lat_us(&mut us);
+        let (mean, p99) = mean_p99(&mut us);
         stats.push(TenantStat {
             tenant: t,
             weight,

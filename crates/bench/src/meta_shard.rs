@@ -16,7 +16,7 @@
 
 use nadfs_core::{ClusterSpec, LayoutSpec, MetaOpKind, MetaWorkload, SimCluster, StorageMode};
 
-use crate::report::{f, Table};
+use crate::report::{f, mean_p99, Table};
 
 const MUTATIONS: [MetaOpKind; 4] = [
     MetaOpKind::Mkdir,
@@ -114,16 +114,6 @@ fn phase_rate(results: &nadfs_core::ResultSink, kinds: &[MetaOpKind]) -> (usize,
     (mine.len(), mine.len() as f64 / span_s.max(1e-12), us)
 }
 
-fn lat_us(samples: &mut [f64]) -> (f64, f64) {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    if samples.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let p99 = samples[(samples.len() - 1).min(samples.len() * 99 / 100)];
-    (mean, p99)
-}
-
 /// One scaling point: the full dir-op mix against `shards` shards.
 fn run_point(shards: usize, sizes: &Sizes) -> (ShardPoint, String) {
     let spec = ClusterSpec::new(sizes.clients, 4, StorageMode::Plain).with_meta_shards(shards);
@@ -160,7 +150,7 @@ fn run_point(shards: usize, sizes: &Sizes) -> (ShardPoint, String) {
         let (resolves, res_rate, _) = phase_rate(&results, &RESOLVES);
         (dir_ops, dir_rate, mut_us, resolves, res_rate)
     };
-    let (mean, p99) = lat_us(&mut mut_us);
+    let (mean, p99) = mean_p99(&mut mut_us);
 
     let stats = cl.control.borrow().shard_stats();
     let ops: u64 = stats.iter().map(|s| s.ops).sum();

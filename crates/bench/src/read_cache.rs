@@ -15,7 +15,7 @@ use nadfs_core::{
 };
 use nadfs_wire::RsScheme;
 
-use crate::report::{f, Table};
+use crate::report::{f, mean_p99, Table};
 
 /// Reads per pattern (sequential = two full passes over the file).
 const WRITES: usize = 64;
@@ -157,9 +157,7 @@ fn run_one(pattern: ReadPattern, reads: usize, cache_on: bool) -> (RunStats, Str
             .iter()
             .map(|r| r.end.since(r.start).ps() as f64 / 1e6)
             .collect();
-        us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mean = us.iter().sum::<f64>() / us.len().max(1) as f64;
-        let p99 = us[(us.len() - 1).min(us.len() * 99 / 100)];
+        let (mean, p99) = mean_p99(&mut us);
         let bytes: u64 = results.file_reads.iter().map(|r| r.len as u64).sum();
         let t0 = results.file_reads.iter().map(|r| r.start).min().unwrap();
         let t1 = results.file_reads.iter().map(|r| r.end).max().unwrap();
@@ -253,9 +251,7 @@ fn run_offload(protocol: ReadProtocol, degraded: bool) -> OffloadRun {
             .iter()
             .map(|r| r.end.since(r.start).ps() as f64 / 1e6)
             .collect();
-        us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mean = us.iter().sum::<f64>() / us.len().max(1) as f64;
-        let p99 = us[(us.len() - 1).min(us.len() * 99 / 100)];
+        let (mean, p99) = mean_p99(&mut us);
         let bytes: u64 = results.file_reads.iter().map(|r| r.len as u64).sum();
         let t0 = results.file_reads.iter().map(|r| r.start).min().unwrap();
         let t1 = results.file_reads.iter().map(|r| r.end).max().unwrap();

@@ -77,6 +77,19 @@ pub fn f(v: f64) -> String {
     }
 }
 
+/// Exact-sample mean and p99 of `samples`, sorting them in place. The
+/// p99 is the sample at rank `len * 99 / 100` (the last one for at most
+/// 100 samples); empty input yields zeros.
+pub fn mean_p99(samples: &mut [f64]) -> (f64, f64) {
+    if samples.is_empty() {
+        return (0.0, 0.0);
+    }
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    let mean = samples.iter().sum::<f64>() / n as f64;
+    (mean, samples[(n - 1).min(n * 99 / 100)])
+}
+
 /// Human-readable size label for a byte count.
 pub fn sz(bytes: u32) -> String {
     if bytes >= (1 << 20) && bytes.is_multiple_of(1 << 20) {
@@ -109,6 +122,19 @@ mod tests {
         assert_eq!(f(12.34), "12.3");
         assert_eq!(f(1.234), "1.23");
         assert_eq!(f(f64::NAN), "-");
+    }
+
+    #[test]
+    fn mean_p99_is_exact_and_total() {
+        assert_eq!(mean_p99(&mut []), (0.0, 0.0));
+        assert_eq!(mean_p99(&mut [7.5]), (7.5, 7.5));
+        // 1..=100 in reverse: sorted in place, p99 is rank 99 (the max).
+        let mut v: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+        assert_eq!(mean_p99(&mut v), (50.5, 100.0));
+        assert_eq!(v[0], 1.0, "sorted in place");
+        // 101 samples: rank 99 of 0..=100 is 99, not the max.
+        let mut w: Vec<f64> = (0..=100).map(f64::from).collect();
+        assert_eq!(mean_p99(&mut w).1, 99.0);
     }
 
     #[test]

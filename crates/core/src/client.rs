@@ -26,8 +26,7 @@ use nadfs_wire::{
 };
 
 use crate::cache::ReadCache;
-use crate::config::MetaCosts;
-use crate::control::{FilePolicy, RepairPlan, RepairTask, SharedControl, WritePlacement};
+use crate::control::{FilePolicy, RepairPlan, RepairTask, Route, SharedControl, WritePlacement};
 
 /// Timer tag: start pulling jobs from the plan. Every other timer the
 /// client arms carries a fresh tag from its deferred-step table.
@@ -556,8 +555,6 @@ pub struct ClientApp {
     /// Disable to measure the uncached read path (every `read_at` pays a
     /// resolve plus the full fan-out).
     pub read_cache_enabled: bool,
-    /// Latency model for metadata traffic.
-    pub meta_costs: MetaCosts,
     /// Metadata ops started and not yet delivered (the bulk span stays
     /// open while any remain).
     meta_in_flight: usize,
@@ -640,7 +637,6 @@ impl ClientApp {
             cache_enabled: true,
             read_cache,
             read_cache_enabled: true,
-            meta_costs: MetaCosts::default(),
             meta_in_flight: 0,
             bulk_meta_spans: false,
             bulk_meta_span: 0,
@@ -955,14 +951,13 @@ impl ClientApp {
     }
 
     /// Flush buffered write-back attrs (one control round-trip for the
-    /// whole batch). Returns true if a flush happened.
-    fn flush_writeback(&mut self) -> bool {
+    /// whole batch). Returns the flush's route if a flush happened.
+    fn flush_writeback(&mut self) -> Option<Route> {
         let dirty = self.meta_cache.borrow_mut().take_dirty();
         if dirty.is_empty() {
-            return false;
+            return None;
         }
-        let _ = self.control.borrow_mut().flush_attrs(&dirty);
-        true
+        Some(self.control.borrow_mut().flush_attrs(&dirty).1)
     }
 
     /// Execute a metadata op against cache + control plane. State changes
@@ -981,15 +976,17 @@ impl ClientApp {
             self.span_begin(OpKind::Meta, nic, start, || format!("meta {:?}", op.kind()))
         };
         let now_ns = start.as_ns() as u64;
-        let costs = self.meta_costs.clone();
+        let costs = self.control.borrow().meta_costs().clone();
         let mut cost = Dur::ZERO;
         let mut cache_hit = false;
+        // The shard op this call admits: the last one it routed.
+        let mut route = None;
         let result: Result<(), MetaError> = match &op {
             MetaOp::Lookup { path } => {
                 // A lookup must observe our own buffered appends: flush
                 // write-back state first (counts as its own round-trip).
                 if self.cache_enabled && self.meta_cache.borrow().dirty_count() > 0 {
-                    self.flush_writeback();
+                    route = self.flush_writeback();
                     cost += costs.control_rtt;
                 }
                 let cached = if self.cache_enabled {
@@ -1005,84 +1002,81 @@ impl ClientApp {
                     }
                     None => {
                         cost += costs.control_rtt;
-                        match self.control.borrow_mut().lookup_entry(path) {
-                            Ok((attr, layout)) => {
-                                if self.cache_enabled {
-                                    self.meta_cache.borrow_mut().insert(
-                                        path.clone(),
-                                        CachedEntry::from_attr(&attr, layout),
-                                    );
-                                }
-                                Ok(())
+                        let (entry, r) = self.control.borrow_mut().lookup_entry(path);
+                        route = Some(r);
+                        entry.map(|(attr, layout)| {
+                            if self.cache_enabled {
+                                self.meta_cache
+                                    .borrow_mut()
+                                    .insert(path.clone(), CachedEntry::from_attr(&attr, layout));
                             }
-                            Err(e) => Err(e),
-                        }
+                        })
                     }
                 }
             }
             MetaOp::Mkdir { path } => {
                 cost = cost + costs.control_rtt + costs.oplog_append;
-                self.control.borrow_mut().mkdir(path, now_ns).map(|_| ())
+                let (r, rt) = self.control.borrow_mut().mkdir(path, now_ns);
+                route = Some(rt);
+                r.map(|_| ())
             }
             MetaOp::Create { path, spec } => {
                 cost = cost + costs.control_rtt + costs.oplog_append;
-                let created =
+                let (created, rt) =
                     self.control
                         .borrow_mut()
                         .create_file_at(path, *spec, FilePolicy::Plain);
-                match created {
-                    Ok(_) => {
-                        if self.cache_enabled {
-                            // Write-allocate: the create response already
-                            // carries everything a later lookup needs, so
-                            // fill the cache without another counted
-                            // round-trip.
-                            if let Ok((attr, layout)) = self.control.borrow().peek_entry(path) {
-                                self.meta_cache
-                                    .borrow_mut()
-                                    .insert(path.clone(), CachedEntry::from_attr(&attr, layout));
-                            }
-                        }
-                        Ok(())
+                route = Some(rt);
+                if created.is_ok() && self.cache_enabled {
+                    // Write-allocate: the create response already carries
+                    // everything a later lookup needs, so fill the cache
+                    // without another counted round-trip.
+                    if let Ok((attr, layout)) = self.control.borrow().peek_entry(path) {
+                        self.meta_cache
+                            .borrow_mut()
+                            .insert(path.clone(), CachedEntry::from_attr(&attr, layout));
                     }
-                    Err(e) => Err(e),
                 }
+                created.map(|_| ())
             }
             MetaOp::Readdir { path } => {
                 cost += costs.control_rtt;
-                match self.control.borrow_mut().readdir(path) {
-                    Ok(entries) => {
-                        if self.cache_enabled {
-                            // Version check (defense in depth): a readdir
-                            // response reveals current child versions —
-                            // evict any cached child it proves stale.
-                            let mut cache = self.meta_cache.borrow_mut();
-                            let base = path.trim_end_matches('/');
-                            for (name, attr) in &entries {
-                                cache.note_version(&format!("{base}/{name}"), attr.version);
-                            }
+                let (listing, rt) = self.control.borrow_mut().readdir(path);
+                route = Some(rt);
+                listing.map(|entries| {
+                    if self.cache_enabled {
+                        // Version check (defense in depth): a readdir
+                        // response reveals current child versions — evict
+                        // any cached child it proves stale.
+                        let mut cache = self.meta_cache.borrow_mut();
+                        let base = path.trim_end_matches('/');
+                        for (name, attr) in &entries {
+                            cache.note_version(&format!("{base}/{name}"), attr.version);
                         }
-                        Ok(())
                     }
-                    Err(e) => Err(e),
-                }
+                })
             }
             MetaOp::Rename { from, to } => {
                 cost = cost + costs.control_rtt + costs.oplog_append;
-                self.control.borrow_mut().rename(from, to, now_ns)
+                let (r, rt) = self.control.borrow_mut().rename(from, to, now_ns);
+                route = Some(rt);
+                r
             }
             MetaOp::Unlink { path } => {
                 cost = cost + costs.control_rtt + costs.oplog_append;
-                self.control.borrow_mut().unlink(path, now_ns).map(|_| ())
+                let (r, rt) = self.control.borrow_mut().unlink(path, now_ns);
+                route = Some(rt);
+                r.map(|_| ())
             }
         };
         // Async metadata updates (AsyncFS-style): a mutation acks after
         // its shard's op-log append — `mutate_service` is shard occupancy
-        // paid through the admission model, not ack latency. Every routed
-        // op (mutation or resolve miss) queues behind its shard; cache
-        // hits never routed, so `admit_last` is a no-op for them.
-        let wait = self.control.borrow_mut().admit_last(start.ps());
-        cost += Dur::from_ps(wait);
+        // paid through the admission model, not ack latency. The op queues
+        // behind the shard it routed to; a cache hit that flushed nothing
+        // routed nowhere and waits for no shard.
+        if let Some(route) = route {
+            cost += Dur::from_ps(self.control.borrow_mut().admit(route, start.ps()));
+        }
         if cache_hit {
             self.span_mark(span, phase::CACHE_HIT, start);
         }
@@ -1173,12 +1167,8 @@ impl ClientApp {
         };
         self.span_mark(req.span, phase::CACHE_HIT, ctx.now());
         let data = Bytes::from(hit.data);
-        self.defer(
-            nic,
-            ctx,
-            self.meta_costs.cache_probe,
-            Deferred::CacheHit { req, data },
-        );
+        let probe = self.control.borrow().meta_costs().cache_probe;
+        self.defer(nic, ctx, probe, Deferred::CacheHit { req, data });
         None
     }
 
@@ -1238,17 +1228,18 @@ impl ClientApp {
             0
         };
         let mut fetch_want = len.saturating_add(ra);
-        let mut plan = self
+        let (mut plan, mut route) = self
             .control
             .borrow_mut()
             .resolve_read(file, offset, fetch_want);
         if plan.is_err() && fetch_want > len {
             fetch_want = len;
-            plan = self.control.borrow_mut().resolve_read(file, offset, len);
+            (plan, route) = self.control.borrow_mut().resolve_read(file, offset, len);
         }
         // The resolve queued behind its metadata shard: the fan-out below
         // cannot start until the shard served it.
-        let resolve_wait = Dur::from_ps(self.control.borrow_mut().admit_last(ctx.now().ps()));
+        let resolve_wait =
+            Dur::from_ps(route.map_or(0, |r| self.control.borrow_mut().admit(r, ctx.now().ps())));
         let plan = match plan {
             Ok(p) => p,
             Err(_) => {

@@ -268,7 +268,6 @@ impl SimCluster {
             plans.push(plan.clone());
             let mut app =
                 ClientApp::new(control.clone(), results.clone(), plan, spec.client_window);
-            app.meta_costs = spec.cost.meta.clone();
             app.obs = obs.clone();
             app.trace = trace.clone();
             tweak(&mut app);

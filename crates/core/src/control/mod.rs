@@ -26,6 +26,15 @@
 //! is a thin façade over the focused submodules: [`placement`] (where
 //! bytes go), [`resolution`] (read planning + compaction), and
 //! [`repair_queue`] (background re-protection).
+//!
+//! Shard admission is explicit. Each call a client admits returns the
+//! [`Route`] it occupied next to its result (error results included),
+//! and the client charges exactly that receipt with
+//! [`ControlPlane::admit`]: the shard's queue wait goes on the op's
+//! latency, the class's service time on the shard. A route nobody admits
+//! (direct drivers, write placement and commit) counts in [`ShardStats`]
+//! and queues no one. Every cost comes from the one [`MetaCosts`] table
+//! the plane holds ([`ControlPlane::set_meta_costs`]).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -51,7 +60,8 @@ mod shard;
 pub use repair_queue::{RepairPlan, RepairQueue, RepairStats, RepairTask};
 pub use router::ShardRouter;
 pub use shard::{
-    CrashPoint, LogEntry, MetaMutation, MetaShard, OpLog, ServiceClass, ShardStats, TxRecovery,
+    CrashPoint, LogEntry, MetaMutation, MetaShard, OpLog, Route, ServiceClass, ShardStats,
+    TxRecovery,
 };
 
 // Policies now live with the rest of the file metadata in `nadfs-meta`;
@@ -175,14 +185,10 @@ pub struct ControlPlane {
     shards: Vec<MetaShard>,
     /// Stateless ino → shard map.
     router: ShardRouter,
-    /// Shard service times for the admission model (set from the
-    /// cluster's cost model; defaults match `MetaCosts::default`).
-    service_costs: MetaCosts,
-    /// The shard + service class of the most recent routed op — what
-    /// [`ControlPlane::admit_last`] charges. Overwritten by every routed
-    /// op, so a client admitting right after its call always charges the
-    /// op it just made.
-    last_route: Option<(usize, ServiceClass)>,
+    /// The metadata cost model: shard service times for admission, and
+    /// the latencies clients charge (set from the cluster's cost model;
+    /// defaults match `MetaCosts::default`).
+    costs: MetaCosts,
     /// Armed mid-transaction kill switch (fault harness).
     crash_point: Option<CrashPoint>,
     /// Storage nodes currently marked failed (degraded-read routing).
@@ -252,8 +258,7 @@ impl ControlPlane {
             layout_callbacks_sent: 0,
             shards: (0..n_shards).map(MetaShard::new).collect(),
             router: ShardRouter::new(n_shards),
-            service_costs: MetaCosts::default(),
-            last_route: None,
+            costs: MetaCosts::default(),
             crash_point: None,
             failed_nodes: HashSet::new(),
             orphaned: HashMap::new(),
@@ -266,9 +271,14 @@ impl ControlPlane {
     }
 
     /// Install the cluster's metadata cost model (shard service times
-    /// for the admission model).
+    /// for the admission model, and the latencies clients charge).
     pub fn set_meta_costs(&mut self, costs: MetaCosts) {
-        self.service_costs = costs;
+        self.costs = costs;
+    }
+
+    /// The installed metadata cost model (clients charge from it).
+    pub fn meta_costs(&self) -> &MetaCosts {
+        &self.costs
     }
 
     /// The service-shared MAC key (installed into storage-node NIC memory).
@@ -436,6 +446,7 @@ impl ControlPlane {
         self.meta.ns.mkdir_p("/.volatile", 0).expect("legacy dir");
         let meta = self
             .create_file_at(&name, LayoutSpec::SINGLE, policy)
+            .0
             .expect("fresh legacy path");
         // Legacy callers pre-declare the size; advance both the committed
         // size and the cursor so the first placement appends after it,
@@ -455,14 +466,17 @@ impl ControlPlane {
         path: &str,
         spec: LayoutSpec,
         policy: FilePolicy,
-    ) -> Result<FileMeta, MetaError> {
+    ) -> (Result<FileMeta, MetaError>, Route) {
         let parent = self.route_parent(path);
-        self.note_route(parent, ServiceClass::Mutation);
-        let (attr, layout) = self.meta.create(path, spec, policy.clone(), 0)?;
-        self.install_file(&attr, layout, policy);
-        self.log_apply(parent, MetaMutation::Create { ino: attr.ino });
-        self.publish_invalidations();
-        Ok(self.file(attr.ino).expect("just installed").clone())
+        let route = self.route(parent, ServiceClass::Mutation);
+        let created = self.meta.create(path, spec, policy.clone(), 0);
+        let r = created.map(|(attr, layout)| {
+            self.install_file(&attr, layout, policy);
+            self.log_apply(parent, MetaMutation::Create { ino: attr.ino });
+            self.publish_invalidations();
+            self.file(attr.ino).expect("just installed").clone()
+        });
+        (r, route)
     }
 
     /// Metadata lookup by file id. A miss is a typed error, not a panic
@@ -471,23 +485,21 @@ impl ControlPlane {
         self.file(file).ok_or(MetaError::UnknownFile(file))
     }
 
-    /// Path lookup (counts as one metadata round-trip). Routed to the
-    /// target's shard.
+    /// Path lookup (counts as one metadata round-trip).
     pub fn lookup_path(&mut self, path: &str) -> Result<InodeAttr, MetaError> {
-        let r = self.meta.lookup(path);
-        let shard = r.as_ref().map(|a| self.shard_of(a.ino)).unwrap_or(0);
-        self.note_route(shard, ServiceClass::Resolve);
-        r
+        self.lookup_entry(path).0.map(|(attr, _)| attr)
     }
 
     /// Path lookup returning what a client cache stores: attrs + layout
-    /// for files.
+    /// for files. Routed to the target's shard (shard 0 on a miss).
     pub fn lookup_entry(
         &mut self,
         path: &str,
-    ) -> Result<(InodeAttr, Option<StripedLayout>), MetaError> {
-        self.lookup_path(path)?; // the counted round-trip
-        self.peek_entry(path)
+    ) -> (Result<(InodeAttr, Option<StripedLayout>), MetaError>, Route) {
+        let r = self.meta.lookup(path); // the counted round-trip
+        let shard = r.as_ref().map(|a| self.shard_of(a.ino)).unwrap_or(0);
+        let route = self.route(shard, ServiceClass::Resolve);
+        (r.and_then(|_| self.peek_entry(path)), route)
     }
 
     /// Uncounted lookup for cache refills: the caller already paid the
@@ -506,20 +518,20 @@ impl ControlPlane {
         Ok((attr, layout))
     }
 
-    pub fn mkdir(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
+    pub fn mkdir(&mut self, path: &str, now_ns: u64) -> (Result<InodeAttr, MetaError>, Route) {
         let parent = self.route_parent(path);
-        self.note_route(parent, ServiceClass::Mutation);
+        let route = self.route(parent, ServiceClass::Mutation);
         let r = self.meta.mkdir(path, now_ns);
         if let Ok(attr) = &r {
             self.log_apply(parent, MetaMutation::Mkdir { ino: attr.ino });
         }
         self.publish_invalidations();
-        r
+        (r, route)
     }
 
     pub fn mkdir_p(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
         let parent = self.route_parent(path);
-        self.note_route(parent, ServiceClass::Mutation);
+        self.route(parent, ServiceClass::Mutation);
         let r = self.meta.mkdir_p(path, now_ns);
         if let Ok(attr) = &r {
             self.log_apply(parent, MetaMutation::Mkdir { ino: attr.ino });
@@ -528,15 +540,15 @@ impl ControlPlane {
         r
     }
 
-    pub fn readdir(&mut self, path: &str) -> Result<Vec<(String, InodeAttr)>, MetaError> {
+    pub fn readdir(&mut self, path: &str) -> (Result<Vec<(String, InodeAttr)>, MetaError>, Route) {
         let shard = self
             .meta
             .ns
             .resolve(path)
             .map(|ino| self.shard_of(ino))
             .unwrap_or(0);
-        self.note_route(shard, ServiceClass::Resolve);
-        self.meta.readdir(path)
+        let route = self.route(shard, ServiceClass::Resolve);
+        (self.meta.readdir(path), route)
     }
 
     /// Rename. The participant set is {shard(from-parent),
@@ -544,7 +556,7 @@ impl ControlPlane {
     /// the op runs the two-phase intent/commit protocol, and the armed
     /// [`CrashPoint`] (if any) kills it mid-flight — leaving dangling
     /// intents for [`ControlPlane::recover_shards`] to resolve.
-    pub fn rename(&mut self, from: &str, to: &str, now_ns: u64) -> Result<(), MetaError> {
+    pub fn rename(&mut self, from: &str, to: &str, now_ns: u64) -> (Result<(), MetaError>, Route) {
         let coordinator = self.route_parent(from);
         let to_parent = self.route_parent(to);
         let replaced_shard = self.meta.ns.resolve(to).ok().map(|ino| self.shard_of(ino));
@@ -552,107 +564,71 @@ impl ControlPlane {
         participants.extend(replaced_shard);
         participants.sort_unstable();
         participants.dedup();
-        self.note_route(coordinator, ServiceClass::Mutation);
+        let route = self.route(coordinator, ServiceClass::Mutation);
         let op = MetaMutation::Rename {
             from: from.to_string(),
             to: to.to_string(),
         };
-        let txid = if participants.len() > 1 {
-            let txid = self.alloc_txid();
-            self.tx_intent(txid, &participants, op.clone())?;
-            Some(txid)
-        } else {
-            None
-        };
-        let r = self.meta.rename(from, to, now_ns);
-        if let Ok(Some(replaced)) = r {
-            // A POSIX replace deletes the target inode: drop its
-            // placement state too, exactly like an unlink.
-            self.remove_file_state(replaced);
-            self.meta.note_extents_gone(replaced);
-        }
-        self.publish_invalidations();
-        match (&r, txid) {
-            (Ok(_), Some(txid)) => {
-                self.tx_applied(txid, coordinator)?;
-                self.tx_commit(txid, &participants, coordinator);
+        let r = self.run_mutation(coordinator, &participants, op, |cp| {
+            let r = cp.meta.rename(from, to, now_ns);
+            if let Ok(Some(replaced)) = r {
+                // A POSIX replace deletes the target inode: drop its
+                // placement state too, exactly like an unlink.
+                cp.remove_file_state(replaced);
+                cp.meta.note_extents_gone(replaced);
             }
-            (Err(_), Some(txid)) => {
-                // Validation rejected the op: the intents are dead on
-                // arrival — abort them so recovery has nothing to do.
-                for &s in &participants {
-                    self.shards[s].log.append(LogEntry::Abort { txid });
-                }
-            }
-            (Ok(_), None) => self.log_apply(coordinator, op),
-            (Err(_), None) => {}
-        }
-        r.map(|_| ())
+            cp.publish_invalidations();
+            r
+        });
+        (r.map(|_| ()), route)
     }
 
     /// Unlink a file or empty directory; a removed file's placement state
     /// is dropped with it. Participants: {shard(parent), shard(target)} —
     /// cross-shard when they hash apart (two-phase, like rename).
-    pub fn unlink(&mut self, path: &str, now_ns: u64) -> Result<InodeAttr, MetaError> {
+    pub fn unlink(&mut self, path: &str, now_ns: u64) -> (Result<InodeAttr, MetaError>, Route) {
         let coordinator = self.route_parent(path);
         let target = self.meta.ns.resolve(path).ok();
         let mut participants = vec![coordinator];
         participants.extend(target.map(|ino| self.shard_of(ino)));
         participants.sort_unstable();
         participants.dedup();
-        self.note_route(coordinator, ServiceClass::Mutation);
+        let route = self.route(coordinator, ServiceClass::Mutation);
         let op = MetaMutation::Unlink {
             ino: target.unwrap_or(0),
         };
-        let txid = if participants.len() > 1 {
-            let txid = self.alloc_txid();
-            self.tx_intent(txid, &participants, op.clone())?;
-            Some(txid)
-        } else {
-            None
-        };
-        let r = self.meta.unlink(path, now_ns);
-        if let Ok(attr) = &r {
-            self.remove_file_state(attr.ino);
-            self.meta.note_extents_gone(attr.ino);
-        }
-        self.publish_invalidations();
-        match (&r, txid) {
-            (Ok(_), Some(txid)) => {
-                self.tx_applied(txid, coordinator)?;
-                self.tx_commit(txid, &participants, coordinator);
+        let r = self.run_mutation(coordinator, &participants, op, |cp| {
+            let r = cp.meta.unlink(path, now_ns);
+            if let Ok(attr) = &r {
+                cp.remove_file_state(attr.ino);
+                cp.meta.note_extents_gone(attr.ino);
             }
-            (Err(_), Some(txid)) => {
-                for &s in &participants {
-                    self.shards[s].log.append(LogEntry::Abort { txid });
-                }
-            }
-            (Ok(_), None) => self.log_apply(coordinator, op),
-            (Err(_), None) => {}
-        }
-        r
+            cp.publish_invalidations();
+            r
+        });
+        (r, route)
     }
 
     /// Apply a client's write-back attribute flush. Applied updates
     /// publish `Changed` events, so other clients' cached attrs for the
     /// flushed files are invalidated. Each touched ino's flush is logged
-    /// on its owning shard; admission charges the first ino's shard.
+    /// on its owning shard; the route is the first ino's shard.
     pub fn flush_attrs(
         &mut self,
         updates: &[(u64, nadfs_meta::DirtyAttr)],
-    ) -> Result<(), MetaError> {
+    ) -> (Result<(), MetaError>, Route) {
         let shard = updates
             .first()
             .map(|(ino, _)| self.shard_of(*ino))
             .unwrap_or(0);
-        self.note_route(shard, ServiceClass::Mutation);
+        let route = self.route(shard, ServiceClass::Mutation);
         for (ino, _) in updates {
             let s = self.shard_of(*ino);
             self.log_apply(s, MetaMutation::AttrFlush { ino: *ino });
         }
         let r = self.meta.flush_attrs(updates);
         self.publish_invalidations();
-        r
+        (r, route)
     }
 
     /// Management service: authenticate a client and issue a capability
@@ -758,6 +734,7 @@ mod tests {
         let f = cp
             .borrow_mut()
             .create_file_at("/data/big", LayoutSpec::striped(3, 4096), FilePolicy::Plain)
+            .0
             .expect("create");
         assert_eq!(f.layout.stripe_width(), 3);
         let p = cp.borrow_mut().place_write(f.id, 3 * 4096).expect("place");
@@ -779,13 +756,16 @@ mod tests {
         let loser = cp
             .borrow_mut()
             .create_file_at("/d/loser", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
         let winner = cp
             .borrow_mut()
             .create_file_at("/d/winner", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
         cp.borrow_mut()
             .rename("/d/winner", "/d/loser", 1)
+            .0
             .expect("replace");
         // The replaced file is gone everywhere: namespace AND placement.
         assert_eq!(
@@ -808,12 +788,14 @@ mod tests {
         let gone = cp
             .borrow_mut()
             .create_file_at("/d/gone", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
         let kept = cp
             .borrow_mut()
             .create_file_at("/d/kept", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
-        cp.borrow_mut().unlink("/d/gone", 1).expect("unlink");
+        cp.borrow_mut().unlink("/d/gone", 1).0.expect("unlink");
         let updates = vec![
             (
                 gone.id,
@@ -832,6 +814,7 @@ mod tests {
         ];
         cp.borrow_mut()
             .flush_attrs(&updates)
+            .0
             .expect("partial flush ok");
         assert_eq!(
             cp.borrow_mut().lookup_path("/d/kept").expect("kept").size,
@@ -847,6 +830,7 @@ mod tests {
         let f = cp
             .borrow_mut()
             .create_file_at("/d/s", LayoutSpec::striped(3, 4096), FilePolicy::Plain)
+            .0
             .expect("create");
         let first = cp.borrow_mut().place_write(f.id, 4096).expect("place");
         assert_eq!(first.offset, 0);
@@ -875,6 +859,7 @@ mod tests {
         let f = cp
             .borrow_mut()
             .create_file_at("/d/s", LayoutSpec::striped(3, 4096), FilePolicy::Plain)
+            .0
             .expect("create");
         let p = cp.borrow_mut().place_write(f.id, 3 * 4096).expect("place");
         cp.borrow_mut().commit_write(f.id, &p, 3 * 4096);
@@ -882,6 +867,7 @@ mod tests {
         let plan = cp
             .borrow_mut()
             .resolve_read(f.id, 4000, 5000)
+            .0
             .expect("resolve");
         assert_eq!(plan.len, 5000);
         let mut covered = 0u32;
@@ -916,6 +902,7 @@ mod tests {
         let plan = cp
             .borrow_mut()
             .resolve_read(f.id, 0, 5000)
+            .0
             .expect("resolve");
         assert_eq!(plan.len, 0, "nothing durable: a clean zero-length read");
         // Once the write commits, the same resolve serves the bytes.
@@ -924,6 +911,7 @@ mod tests {
         let plan = cp
             .borrow_mut()
             .resolve_read(f.id, 0, 5000)
+            .0
             .expect("resolve");
         assert_eq!(plan.len, 1000, "clamped at the committed size");
         assert!(plan
@@ -947,6 +935,7 @@ mod tests {
         let plan = cp
             .borrow_mut()
             .resolve_read(f.id, 0, 2000)
+            .0
             .expect("resolve");
         assert_eq!(plan.len, 1500);
         let hole: u32 = plan
@@ -972,6 +961,7 @@ mod tests {
             let plan = cp
                 .borrow_mut()
                 .resolve_read(f.id, offset, u32::MAX)
+                .0
                 .expect("resolve");
             assert_eq!(plan.len, 0, "offset {offset:#x}");
             assert!(plan.pieces.is_empty());
@@ -980,6 +970,7 @@ mod tests {
         let plan = cp
             .borrow_mut()
             .resolve_read(f.id, 4096, u32::MAX)
+            .0
             .expect("resolve");
         assert_eq!(plan.len, 0);
     }
@@ -991,6 +982,7 @@ mod tests {
         let f = cp
             .borrow_mut()
             .create_file_at("/d/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
         let a = cp.borrow_mut().place_write(f.id, 8192).expect("append");
         assert_eq!((a.offset, a.appended), (0, 8192));
@@ -1034,6 +1026,7 @@ mod tests {
         let plan = cp
             .borrow_mut()
             .resolve_read(f.id, 0, 4096)
+            .0
             .expect("resolve");
         let nadfs_meta::ReadPiece::Direct { coord, .. } = &plan.pieces[0] else {
             panic!("direct piece");
@@ -1043,6 +1036,7 @@ mod tests {
         let plan2 = cp
             .borrow_mut()
             .resolve_read(f.id, 0, 4096)
+            .0
             .expect("resolve");
         let nadfs_meta::ReadPiece::Direct { coord, .. } = &plan2.pieces[0] else {
             panic!("direct piece");
@@ -1112,6 +1106,7 @@ mod tests {
         let _ = cp
             .borrow_mut()
             .resolve_read(f.id, 3 * 4096, 4096)
+            .0
             .expect("degraded resolve");
         assert_eq!(
             cp.borrow().repair_queue.peek(),
@@ -1173,6 +1168,7 @@ mod tests {
         let plan = cp
             .borrow_mut()
             .resolve_read(f.id, 0, 3 * 4096)
+            .0
             .expect("resolve");
         assert_eq!(plan.degraded_stripes, 0, "re-homed: no reconstruction");
     }
@@ -1316,9 +1312,10 @@ mod tests {
         let f = cp
             .borrow_mut()
             .create_file_at("/d/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
         assert!(cp.borrow().lookup(f.id).is_ok());
-        cp.borrow_mut().unlink("/d/f", 1).expect("unlink");
+        cp.borrow_mut().unlink("/d/f", 1).0.expect("unlink");
         assert_eq!(
             cp.borrow().lookup(f.id).unwrap_err(),
             MetaError::UnknownFile(f.id)
@@ -1343,6 +1340,7 @@ mod tests {
             let f = cp
                 .borrow_mut()
                 .create_file_at("/a/b/f", LayoutSpec::striped(2, 4096), FilePolicy::Plain)
+                .0
                 .expect("create");
             let p = cp.borrow_mut().place_write(f.id, 2 * 4096).expect("place");
             cp.borrow_mut().commit_write(f.id, &p, 2 * 4096);
@@ -1350,14 +1348,18 @@ mod tests {
             let plan = cp
                 .borrow_mut()
                 .resolve_read(f.id, 0, 2 * 4096)
+                .0
                 .expect("resolve");
             assert_eq!(plan.len, 2 * 4096, "shards={n}");
-            cp.borrow_mut().rename("/a/b/f", "/a/g", 1).expect("rename");
+            cp.borrow_mut()
+                .rename("/a/b/f", "/a/g", 1)
+                .0
+                .expect("rename");
             assert_eq!(
                 cp.borrow_mut().lookup_path("/a/g").expect("moved").ino,
                 f.id
             );
-            cp.borrow_mut().unlink("/a/g", 2).expect("unlink");
+            cp.borrow_mut().unlink("/a/g", 2).0.expect("unlink");
             assert!(cp.borrow().lookup(f.id).is_err());
         }
     }
@@ -1368,6 +1370,7 @@ mod tests {
         cp.borrow_mut().mkdir_p("/d", 0).expect("mkdir");
         cp.borrow_mut()
             .create_file_at("/d/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
         let total: usize = cp.borrow().shard_log_lens().iter().sum();
         assert!(total >= 2, "mkdir + create each logged, got {total}");
@@ -1389,8 +1392,9 @@ mod tests {
         let (sa, sb) = (cp.borrow().shard_of(a_ino), cp.borrow().shard_of(b_ino));
         cp.borrow_mut()
             .create_file_at("/a/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
-        cp.borrow_mut().rename("/a/f", "/b/f", 1).expect("rename");
+        cp.borrow_mut().rename("/a/f", "/b/f", 1).0.expect("rename");
         assert!(cp.borrow_mut().lookup_path("/b/f").is_ok());
         if sa != sb {
             let txns: u64 = cp
@@ -1413,6 +1417,7 @@ mod tests {
         cp.borrow_mut().mkdir_p("/b", 0).expect("mkdir");
         cp.borrow_mut()
             .create_file_at("/a/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
         let a_ino = cp.borrow().meta.ns.resolve("/a").expect("a");
         let b_ino = cp.borrow().meta.ns.resolve("/b").expect("b");
@@ -1421,7 +1426,7 @@ mod tests {
         }
         cp.borrow_mut().set_crash_point(CrashPoint::AfterIntent);
         assert_eq!(
-            cp.borrow_mut().rename("/a/f", "/b/f", 1).unwrap_err(),
+            cp.borrow_mut().rename("/a/f", "/b/f", 1).0.unwrap_err(),
             MetaError::TxAborted
         );
         // The op never applied: source intact, destination absent.
@@ -1433,7 +1438,7 @@ mod tests {
         // Recovery is idempotent.
         assert_eq!(cp.borrow_mut().recover_shards(), TxRecovery::default());
         // And the namespace still works after recovery.
-        cp.borrow_mut().rename("/a/f", "/b/f", 2).expect("rename");
+        cp.borrow_mut().rename("/a/f", "/b/f", 2).0.expect("rename");
         assert!(cp.borrow_mut().lookup_path("/b/f").is_ok());
     }
 
@@ -1444,6 +1449,7 @@ mod tests {
         cp.borrow_mut().mkdir_p("/b", 0).expect("mkdir");
         cp.borrow_mut()
             .create_file_at("/a/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
         let a_ino = cp.borrow().meta.ns.resolve("/a").expect("a");
         let b_ino = cp.borrow().meta.ns.resolve("/b").expect("b");
@@ -1454,7 +1460,7 @@ mod tests {
         // The coordinator died before acking — the client sees an
         // aborted transaction, but the mutation is durably applied.
         assert_eq!(
-            cp.borrow_mut().rename("/a/f", "/b/f", 1).unwrap_err(),
+            cp.borrow_mut().rename("/a/f", "/b/f", 1).0.unwrap_err(),
             MetaError::TxAborted
         );
         assert!(cp.borrow_mut().lookup_path("/b/f").is_ok());
@@ -1468,22 +1474,42 @@ mod tests {
     #[test]
     fn admission_serializes_ops_on_one_shard() {
         let cp = sharded(1);
-        cp.borrow_mut().mkdir_p("/d", 0).expect("mkdir");
-        let w0 = cp.borrow_mut().admit_last(0);
-        assert_eq!(w0, 0, "empty shard: no wait");
+        let costs = MetaCosts::default();
+        let (r, first) = cp.borrow_mut().mkdir("/d", 0);
+        r.expect("mkdir");
+        assert_eq!(
+            first,
+            Route {
+                shard: 0,
+                class: ServiceClass::Mutation
+            }
+        );
+        assert_eq!(cp.borrow_mut().admit(first, 0), 0, "empty shard: no wait");
         // A second op at the same instant queues behind the first's
         // mutate_service occupancy.
-        cp.borrow_mut().mkdir_p("/d2", 0).expect("mkdir");
-        let w1 = cp.borrow_mut().admit_last(0);
+        let (r, second) = cp.borrow_mut().mkdir("/d2", 0);
+        r.expect("mkdir");
+        let w1 = cp.borrow_mut().admit(second, 0);
         assert_eq!(
             w1,
-            MetaCosts::default().mutate_service.ps(),
+            costs.mutate_service.ps(),
             "second op waits out the first's service time"
         );
-        let stats = cp.borrow().shard_stats();
-        assert_eq!(stats[0].queue_wait_ps, w1);
-        // With no routed op pending, admit is a no-op.
-        assert_eq!(cp.borrow_mut().admit_last(0), 0);
+        assert_eq!(cp.borrow().shard_stats()[0].queue_wait_ps, w1);
+        // Once the shard drains, a mutation queued behind a resolve
+        // waits out the resolve's service time.
+        let later = 10 * costs.mutate_service.ps();
+        let (r, lookup) = cp.borrow_mut().lookup_entry("/d");
+        r.expect("lookup");
+        assert_eq!(lookup.class, ServiceClass::Resolve);
+        assert_eq!(cp.borrow_mut().admit(lookup, later), 0, "shard drained");
+        let (r, third) = cp.borrow_mut().mkdir("/d3", later);
+        r.expect("mkdir");
+        assert_eq!(
+            cp.borrow_mut().admit(third, later),
+            costs.resolve_service.ps(),
+            "mutation waits out the resolve's service time"
+        );
     }
 
     #[test]
@@ -1493,6 +1519,7 @@ mod tests {
         let f = cp
             .borrow_mut()
             .create_file_at("/d/hot", LayoutSpec::SINGLE, FilePolicy::Plain)
+            .0
             .expect("create");
         // Overwrite the same 4 KiB range far past the compaction
         // threshold: all but the newest record are fully shadowed.
@@ -1513,6 +1540,7 @@ mod tests {
         let plan = cp
             .borrow_mut()
             .resolve_read(f.id, 0, 4096)
+            .0
             .expect("resolve");
         assert_eq!(plan.len, 4096);
         assert!(plan

@@ -85,7 +85,7 @@ impl ControlPlane {
         mode: PlaceMode,
     ) -> Result<WritePlacement, MetaError> {
         let meta = self.lookup(file)?.clone();
-        self.note_route(self.shard_of(file), ServiceClass::Mutation);
+        self.route(self.shard_of(file), ServiceClass::Mutation);
         let greq = self.alloc_greq();
         let n = self.storage_nodes.len();
         let home = meta.home;
@@ -215,7 +215,7 @@ impl ControlPlane {
         if len == 0 || !self.shards[shard].files.contains_key(&file) {
             return 0;
         }
-        self.note_route(shard, ServiceClass::Mutation);
+        self.route(shard, ServiceClass::Mutation);
         let scheme = match self.file(file).map(|m| &m.policy) {
             Some(FilePolicy::ErasureCoded { scheme }) => Some(*scheme),
             _ => None,

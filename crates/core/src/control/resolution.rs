@@ -14,14 +14,18 @@ impl ControlPlane {
     /// serves through degraded reconstruction is promoted to the front of
     /// the repair queue — the client is paying for that extent right now.
     /// Counts one control round-trip in the metadata ledger (the RPC a
-    /// client read cache absorbs).
+    /// client read cache absorbs). An unknown file fails before routing;
+    /// every other outcome, error included, occupied the file's shard.
     pub fn resolve_read(
         &mut self,
         file: u64,
         offset: u64,
         len: u32,
-    ) -> Result<ReadPlan, MetaError> {
-        let meta = self.lookup(file)?;
+    ) -> (Result<ReadPlan, MetaError>, Option<Route>) {
+        let meta = match self.lookup(file) {
+            Ok(meta) => meta,
+            Err(e) => return (Err(e), None),
+        };
         // Saturate: `offset + len` can exceed u64::MAX (a hostile or
         // buggy offset) — the overflow would panic in debug builds and
         // wrap in release, turning an out-of-range read into a bogus
@@ -30,12 +34,16 @@ impl ControlPlane {
         let end = offset.saturating_add(len as u64).min(meta.size);
         let clamped = end.saturating_sub(offset) as u32;
         self.meta.stats.resolves += 1;
-        self.note_route(self.shard_of(file), ServiceClass::Resolve);
+        let route = Some(self.route(self.shard_of(file), ServiceClass::Resolve));
         let plan = match self.extent_map(file) {
             Some(map) => map.resolve(offset, clamped, &self.failed_nodes),
             // Nothing committed yet: the whole (clamped) range is a hole.
             None => ExtentMap::new().resolve(offset, clamped, &self.failed_nodes),
-        }?;
+        };
+        let plan = match plan {
+            Ok(plan) => plan,
+            Err(e) => return (Err(e), route),
+        };
         for piece in &plan.pieces {
             if let ReadPiece::Degraded { rec, .. } = piece {
                 self.repair_queue.promote(RepairTask { file, rec: *rec });
@@ -56,7 +64,7 @@ impl ControlPlane {
                 self.publish_invalidations();
             }
         }
-        Ok(plan)
+        (Ok(plan), route)
     }
 
     /// The extent-map generation of `file` (bumped by commits, repair

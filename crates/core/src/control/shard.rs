@@ -157,6 +157,14 @@ pub enum ServiceClass {
     Resolve,
 }
 
+/// The receipt of one routed op: the shard it occupies and for how long
+/// ([`ControlPlane::admit`] charges it).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Route {
+    pub(crate) shard: usize,
+    pub(crate) class: ServiceClass,
+}
+
 /// Deterministic mid-transaction kill switch for the fault harness: the
 /// next cross-shard transaction dies at the given point (the switch
 /// clears itself — one kill per arm).
@@ -185,37 +193,32 @@ impl ControlPlane {
         self.crash_point = Some(point);
     }
 
-    /// Admission control for the most recent routed operation: charge
-    /// the queueing delay of its shard and occupy the shard for the
-    /// op's service time. Returns the wait (ps) the caller must add to
-    /// the op's completion latency. Callers that never admit (direct
-    /// test drivers) simply skip the queueing model — state effects are
-    /// identical either way.
-    pub fn admit_last(&mut self, now_ps: u64) -> u64 {
-        let Some((shard, class)) = self.last_route.take() else {
-            return 0;
+    /// Admission control for one routed op: charge the queueing delay of
+    /// its shard and occupy the shard for the op's service time. Returns
+    /// the wait (ps) the caller must add to the op's completion latency.
+    /// Callers that never admit a route (direct test drivers) simply skip
+    /// the queueing model — state effects are identical either way.
+    pub fn admit(&mut self, route: Route, now_ps: u64) -> u64 {
+        let service_ps = match route.class {
+            ServiceClass::Mutation => self.costs.mutate_service.ps(),
+            ServiceClass::Resolve => self.costs.resolve_service.ps(),
         };
-        let service_ps = match class {
-            ServiceClass::Mutation => self.service_costs.mutate_service.ps(),
-            ServiceClass::Resolve => self.service_costs.resolve_service.ps(),
-        };
-        let sh = &mut self.shards[shard];
+        let sh = &mut self.shards[route.shard];
         let wait = sh.busy_until_ps.saturating_sub(now_ps);
         sh.busy_until_ps = now_ps + wait + service_ps;
         sh.stats.queue_wait_ps += wait;
         wait
     }
 
-    /// Record that a public op was routed to `shard` (stats + the
-    /// admission hook's target).
-    pub(super) fn note_route(&mut self, shard: usize, class: ServiceClass) {
+    /// Count a public op routed to `shard` and hand back its receipt.
+    pub(super) fn route(&mut self, shard: usize, class: ServiceClass) -> Route {
         let st = &mut self.shards[shard].stats;
         st.ops += 1;
         match class {
             ServiceClass::Mutation => st.mutations += 1,
             ServiceClass::Resolve => st.resolves += 1,
         }
-        self.last_route = Some((shard, class));
+        Route { shard, class }
     }
 
     /// Log a single-shard mutation on `shard` (the async-ack point).
@@ -223,7 +226,7 @@ impl ControlPlane {
         self.shards[shard].log.append(LogEntry::Apply { op });
     }
 
-    pub(super) fn alloc_txid(&mut self) -> u64 {
+    fn alloc_txid(&mut self) -> u64 {
         let t = self.next_txid;
         self.next_txid += 1;
         t
@@ -233,7 +236,7 @@ impl ControlPlane {
     /// participant. Returns `Err(TxAborted)` if the armed crash point
     /// kills the coordinator here (namespace untouched; recovery will
     /// roll back).
-    pub(super) fn tx_intent(
+    fn tx_intent(
         &mut self,
         txid: u64,
         participants: &[usize],
@@ -255,7 +258,7 @@ impl ControlPlane {
     /// Phase 2: the coordinator witnessed the apply. Returns
     /// `Err(TxAborted)` if the armed crash point kills the coordinator
     /// here (mutation applied but unacked; recovery rolls forward).
-    pub(super) fn tx_applied(&mut self, txid: u64, coordinator: usize) -> Result<(), MetaError> {
+    fn tx_applied(&mut self, txid: u64, coordinator: usize) -> Result<(), MetaError> {
         self.shards[coordinator]
             .log
             .append(LogEntry::Applied { txid });
@@ -268,11 +271,47 @@ impl ControlPlane {
 
     /// Phase 3: commit everywhere; the coordinator counts the
     /// transaction.
-    pub(super) fn tx_commit(&mut self, txid: u64, participants: &[usize], coordinator: usize) {
+    fn tx_commit(&mut self, txid: u64, participants: &[usize], coordinator: usize) {
         for &s in participants {
             self.shards[s].log.append(LogEntry::Commit { txid });
         }
         self.shards[coordinator].stats.cross_shard_txns += 1;
+    }
+
+    /// Run `apply` as a namespace mutation coordinated by `coordinator`:
+    /// logged in place when the coordinator is the only participant,
+    /// under the two-phase intent/apply/commit protocol otherwise.
+    pub(super) fn run_mutation<T>(
+        &mut self,
+        coordinator: usize,
+        participants: &[usize],
+        op: MetaMutation,
+        apply: impl FnOnce(&mut Self) -> Result<T, MetaError>,
+    ) -> Result<T, MetaError> {
+        let txid = if participants.len() > 1 {
+            let txid = self.alloc_txid();
+            self.tx_intent(txid, participants, op.clone())?;
+            Some(txid)
+        } else {
+            None
+        };
+        let r = apply(self);
+        match (&r, txid) {
+            (Ok(_), Some(txid)) => {
+                self.tx_applied(txid, coordinator)?;
+                self.tx_commit(txid, participants, coordinator);
+            }
+            (Err(_), Some(txid)) => {
+                // Validation rejected the op: the intents are dead on
+                // arrival — abort them so recovery has nothing to do.
+                for &s in participants {
+                    self.shards[s].log.append(LogEntry::Abort { txid });
+                }
+            }
+            (Ok(_), None) => self.log_apply(coordinator, op),
+            (Err(_), None) => {}
+        }
+        r
     }
 
     /// Crash recovery for the shard logs: resolve every dangling intent.

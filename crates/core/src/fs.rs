@@ -164,7 +164,8 @@ impl FsClient {
             .cluster
             .control
             .borrow_mut()
-            .create_file_at(path, spec, policy)?;
+            .create_file_at(path, spec, policy)
+            .0?;
         Ok(self.handle_for(path, &meta))
     }
 
@@ -172,7 +173,7 @@ impl FsClient {
     pub fn open(&mut self, path: &str) -> Result<FileHandle, FsError> {
         let (attr, meta) = {
             let mut control = self.cluster.control.borrow_mut();
-            let (attr, _layout) = control.lookup_entry(path)?;
+            let (attr, _layout) = control.lookup_entry(path).0?;
             if attr.kind != InodeKind::File {
                 return Err(FsError::Meta(MetaError::IsADirectory));
             }

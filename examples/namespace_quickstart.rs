@@ -77,8 +77,9 @@ fn main() {
     cl.control
         .borrow_mut()
         .rename("/proj", "/archive", 1)
+        .0
         .expect("rename");
-    let listing = cl.control.borrow_mut().readdir("/archive").expect("ls");
+    let listing = cl.control.borrow_mut().readdir("/archive").0.expect("ls");
     println!(
         "after rename, /archive contains {:?}",
         listing.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>()
@@ -93,6 +94,7 @@ fn main() {
     cl.control
         .borrow_mut()
         .unlink("/archive/data", 2)
+        .0
         .expect("unlink");
     cl.submit(
         0,

@@ -497,6 +497,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
                     .control
                     .borrow_mut()
                     .rename(&from, &to, now)
+                    .0
                     .expect("churn replace");
                 live[i].path = to;
                 live.swap_remove(v);
@@ -510,6 +511,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
                     .control
                     .borrow_mut()
                     .rename(&from, &to, now)
+                    .0
                     .expect("churn rename");
                 live[i].path = to;
                 report.renames += 1;
@@ -524,6 +526,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
                 .control
                 .borrow_mut()
                 .unlink(&path, now)
+                .0
                 .expect("churn unlink");
             live.swap_remove(i);
             report.unlinks += 1;

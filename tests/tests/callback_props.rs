@@ -150,6 +150,7 @@ impl Harness {
                 control
                     .borrow_mut()
                     .create_file_at(&format!("/p/f{f}"), LayoutSpec::SINGLE, FilePolicy::Plain)
+                    .0
                     .expect("create")
                     .id
             })
@@ -248,7 +249,7 @@ impl Harness {
                     }
                     // The advisory the control plane publishes for a
                     // sequential resolve: the region ahead of the reader.
-                    let plan = plan.expect("a hint follows a resolved read");
+                    let plan = plan.0.expect("a hint follows a resolved read");
                     let end = i * len as u64 + plan.len as u64;
                     let ahead = (plan.len as u64 * 4).min(1 << 20) as u32;
                     for r in &mut self.reference {
@@ -262,6 +263,7 @@ impl Harness {
                         .control
                         .borrow_mut()
                         .unlink(&format!("/p/f{file}"), 0)
+                        .0
                         .is_ok()
                 {
                     self.unlinked[file] = true;
@@ -339,6 +341,7 @@ fn non_holder_rejects_an_in_flight_fill_after_unlink() {
         .control
         .borrow_mut()
         .resolve_read(ino, 0, 4096)
+        .0
         .expect("resolve");
     h.apply(&Step::Unlink { file: 1 }).expect("unlink");
     assert_eq!(h.control.borrow().layout_callbacks(), 0, "nobody held it");

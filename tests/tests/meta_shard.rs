@@ -65,6 +65,7 @@ fn cross_shard_rename_races_a_concurrent_write() {
             LayoutSpec::striped(2, 4096),
             FilePolicy::Plain,
         )
+        .0
         .expect("create");
 
     // Client 0 writes the file while client 1 renames it across shards:
@@ -164,6 +165,7 @@ fn mid_rename_kill_rolls_back_and_the_cluster_converges() {
         .control
         .borrow_mut()
         .rename(&from, &to, 1)
+        .0
         .unwrap_err();
     assert_eq!(err, MetaError::TxAborted);
     assert!(
@@ -190,6 +192,7 @@ fn mid_rename_kill_rolls_back_and_the_cluster_converges() {
         .control
         .borrow_mut()
         .rename(&from, &to, 2)
+        .0
         .expect("retry");
     assert!(fsc.cluster.control.borrow_mut().lookup_path(&to).is_ok());
     assert_hosted_conserved(&fsc.cluster, "mid-rename-kill");
@@ -212,6 +215,7 @@ fn crash_after_apply_is_durable_despite_the_lost_ack() {
             LayoutSpec::SINGLE,
             FilePolicy::Plain,
         )
+        .0
         .expect("create");
     cluster
         .control
@@ -220,7 +224,7 @@ fn crash_after_apply_is_durable_despite_the_lost_ack() {
     let from = format!("{}/f", pair.0);
     let to = format!("{}/f", pair.1);
     assert_eq!(
-        cluster.control.borrow_mut().rename(&from, &to, 1),
+        cluster.control.borrow_mut().rename(&from, &to, 1).0,
         Err(MetaError::TxAborted)
     );
     assert!(
@@ -236,7 +240,7 @@ fn crash_after_apply_is_durable_despite_the_lost_ack() {
         TxRecovery::default()
     );
     assert_eq!(
-        cluster.control.borrow_mut().rename(&from, &to, 2),
+        cluster.control.borrow_mut().rename(&from, &to, 2).0,
         Err(MetaError::NotFound),
         "retry sees the rename already applied (source gone)"
     );
@@ -295,6 +299,7 @@ fn shard_metrics_are_exported_per_shard() {
             LayoutSpec::SINGLE,
             FilePolicy::Plain,
         )
+        .0
         .expect("create");
     let fsc = FsClient::new(cluster);
     let snap = fsc.metrics_snapshot();
@@ -379,14 +384,16 @@ fn apply(cp: &std::rc::Rc<std::cell::RefCell<ControlPlane>>, op: &NsOp, t: u64) 
         NsOp::Create { dir, file } => format!(
             "{:?}",
             c.create_file_at(&path_of(*dir, *file), LayoutSpec::SINGLE, FilePolicy::Plain)
+                .0
                 .map(|m| m.id)
         ),
         NsOp::Rename { from, to } => format!(
             "{:?}",
             c.rename(&path_of(from.0, from.1), &path_of(to.0, to.1), t)
+                .0
         ),
         NsOp::Unlink { dir, file } => {
-            format!("{:?}", c.unlink(&path_of(*dir, *file), t).map(|a| a.ino))
+            format!("{:?}", c.unlink(&path_of(*dir, *file), t).0.map(|a| a.ino))
         }
         NsOp::Lookup { dir, file } => {
             format!("{:?}", c.lookup_path(&path_of(*dir, *file)).map(|a| a.ino))
@@ -417,7 +424,7 @@ proptest! {
                 let mut l: Vec<(String, u64)> = cp
                     .borrow_mut()
                     .readdir(&format!("/p{d}"))
-                    .expect("readdir")
+                    .0.expect("readdir")
                     .into_iter()
                     .map(|(n, a)| (n, a.ino))
                     .collect();
@@ -468,9 +475,9 @@ proptest! {
         let mut c = sharded.borrow_mut();
         c.mkdir_p("/post", 99).expect("plane still mutable");
         c.create_file_at("/post/f", LayoutSpec::SINGLE, FilePolicy::Plain)
-            .expect("plane still creates");
+            .0.expect("plane still creates");
         for d in 0..DIRS {
-            c.readdir(&format!("/p{d}")).expect("namespace intact");
+            c.readdir(&format!("/p{d}")).0.expect("namespace intact");
         }
     }
 }

@@ -5,9 +5,10 @@
 //! propagation as failed jobs.
 
 use nadfs_core::{
-    ClusterSpec, FilePolicy, Job, LayoutSpec, MetaError, MetaOp, MetaOpKind, MetaWorkload,
-    SimCluster, StorageMode, WriteProtocol,
+    ClusterSpec, CostModel, FilePolicy, Job, LayoutSpec, MetaError, MetaOp, MetaOpKind, MetaResult,
+    MetaWorkload, SimCluster, StorageMode, WriteProtocol,
 };
+use nadfs_simnet::Dur;
 
 fn cluster(n_clients: usize, n_storage: usize) -> SimCluster {
     SimCluster::build(ClusterSpec::new(n_clients, n_storage, StorageMode::Plain))
@@ -69,10 +70,74 @@ fn mkdir_create_lookup_through_the_cluster() {
         .borrow_mut()
         .lookup_path("/proj/data")
         .expect("file exists");
-    let list = cl.control.borrow_mut().readdir("/proj").expect("readdir");
+    let list = cl.control.borrow_mut().readdir("/proj").0.expect("readdir");
     assert_eq!(list.len(), 1);
     assert_eq!(list[0].0, "data");
     assert_eq!(list[0].1.ino, attr.ino);
+}
+
+/// Run one metadata job on `client` to completion and return its result.
+fn run_meta(cl: &mut SimCluster, client: usize, op: MetaOp) -> MetaResult {
+    let n = cl.results.borrow().metas.len() + 1;
+    cl.submit(client, meta_job(op, n as u64));
+    cl.start();
+    assert_eq!(cl.run_until_metas(n, 1_000), n, "metadata op completes");
+    cl.results.borrow().metas[n - 1].clone()
+}
+
+#[test]
+fn cache_hit_lookup_is_never_charged_a_foreign_route() {
+    // A slow shard: every admitted mutation occupies it for 1 ms.
+    let mut cost = CostModel::default();
+    cost.meta.mutate_service = Dur::from_ms(1);
+    let probe = cost.meta.cache_probe;
+    let mut cl = SimCluster::build(ClusterSpec::new(2, 3, StorageMode::Plain).with_cost(cost));
+    {
+        let mut control = cl.control.borrow_mut();
+        control.mkdir_p("/d", 0).expect("mkdir");
+        let (created, _) = control.create_file_at("/d/f", LayoutSpec::SINGLE, FilePolicy::Plain);
+        created.expect("create");
+    }
+    // Client 0's miss fills its cache.
+    let path = "/d/f".to_string();
+    let miss = run_meta(&mut cl, 0, MetaOp::Lookup { path: path.clone() });
+    assert!(miss.result.is_ok() && !miss.cache_hit);
+    // Client 1's mkdir makes shard 0 busy for the next millisecond...
+    run_meta(
+        &mut cl,
+        1,
+        MetaOp::Mkdir {
+            path: "/d/x".into(),
+        },
+    );
+    // ...and a direct control-plane call routes to it without being admitted.
+    cl.control.borrow_mut().mkdir_p("/e", 0).expect("mkdir_p");
+    // Client 0's lookup hits its cache: it made no shard op, so it pays
+    // the probe and nothing else.
+    let hit = run_meta(&mut cl, 0, MetaOp::Lookup { path });
+    assert!(hit.result.is_ok() && hit.cache_hit, "lookup hits the cache");
+    assert_eq!(
+        hit.end.since(hit.start),
+        probe,
+        "a cache hit waits for no shard"
+    );
+}
+
+#[test]
+fn cluster_cost_model_reaches_the_client() {
+    let mut cost = CostModel::default();
+    cost.meta.control_rtt = Dur::from_ns(7_000);
+    cost.meta.oplog_append = Dur::from_ns(1_100);
+    let want = cost.meta.control_rtt + cost.meta.oplog_append;
+    let spec = ClusterSpec::new(1, 3, StorageMode::Plain).with_cost(cost);
+    let mut cl = SimCluster::build_with(spec, |app| app.cache_enabled = false);
+    let mkdir = run_meta(&mut cl, 0, MetaOp::Mkdir { path: "/m".into() });
+    assert!(mkdir.result.is_ok());
+    assert_eq!(
+        mkdir.end.since(mkdir.start),
+        want,
+        "an idle shard's mkdir costs control_rtt + oplog_append"
+    );
 }
 
 #[test]
@@ -125,6 +190,7 @@ fn cross_client_mutation_invalidates_cached_entries() {
     cl.control
         .borrow_mut()
         .create_file_at("/shared/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+        .0
         .expect("create");
 
     // Client 0 warms its cache on /shared/f.
@@ -194,6 +260,7 @@ fn writeback_flush_invalidates_other_clients_cached_attrs() {
         .control
         .borrow_mut()
         .create_file_at("/w/f", LayoutSpec::SINGLE, FilePolicy::Plain)
+        .0
         .expect("create");
 
     // Client 0 caches /w/f (size 0).
@@ -257,6 +324,7 @@ fn striped_writes_land_on_distinct_nodes_with_counted_placement() {
             LayoutSpec::striped(4, 8 << 10),
             FilePolicy::Plain,
         )
+        .0
         .expect("create");
     cl.submit(
         0,
@@ -319,6 +387,7 @@ fn striped_rpc_write_lands_each_extent_at_its_own_address() {
         .control
         .borrow_mut()
         .create_file_at("/r/f", LayoutSpec::striped(3, 4096), FilePolicy::Plain)
+        .0
         .expect("create");
     cl.submit(
         0,
@@ -364,10 +433,12 @@ fn write_to_unlinked_file_fails_typed_not_silent() {
         .control
         .borrow_mut()
         .create_file_at("/tmp/gone", LayoutSpec::SINGLE, FilePolicy::Plain)
+        .0
         .expect("create");
     cl.control
         .borrow_mut()
         .unlink("/tmp/gone", 1)
+        .0
         .expect("unlink");
 
     cl.submit(

@@ -205,6 +205,7 @@ fn rejected_write_closes_its_span() {
         .control
         .borrow_mut()
         .unlink("/r/f", now)
+        .0
         .expect("unlink");
     let err = fs.append(&h, &payload(1, 4096));
     assert!(err.is_err(), "write to an unlinked file must fail");

@@ -318,6 +318,7 @@ fn unlink_drops_cached_data() {
         .control
         .borrow_mut()
         .unlink("/u/f", 1)
+        .0
         .expect("unlink");
     assert_eq!(
         fsc.cluster.read_caches[0].borrow().cached_files(),

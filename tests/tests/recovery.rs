@@ -150,6 +150,7 @@ fn unlink_during_outage_orphans_are_reclaimed_at_recovery() {
         .control
         .borrow_mut()
         .unlink("/rec/gone", now)
+        .0
         .expect("unlink");
     let (oc, ob) = fsc.cluster.control.borrow().orphaned_on(victim_node);
     assert!(oc >= 1, "unlink orphaned the dead node's replica");
