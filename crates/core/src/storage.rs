@@ -42,7 +42,6 @@ pub struct StorageStats {
     pub auth_failures: u64,
     pub fallback_aggregations: u64,
     pub cleanup_events: u64,
-    pub meta_lookups: u64,
     /// Stripe units the metadata service placed on this node (filled in
     /// by the control plane at placement time; striped plain writes
     /// only — replication/EC fan-out is counted by their own fields).
@@ -90,7 +89,6 @@ enum AfterCpu {
         addr: u64,
         len: u32,
     },
-    FinishFallback,
     /// A QoS-admitted RPC's synchronous service drained: free its
     /// concurrency slot and admit the next scheduled request.
     ServiceDone,
@@ -504,20 +502,6 @@ impl StorageApp {
                     },
                 );
             }
-            RpcBody::MetaLookupReq { file } => {
-                self.stats.borrow_mut().meta_lookups += 1;
-                let now = ctx.now();
-                let costs = nic.cpu.costs.clone();
-                let t = nic.cpu.exec(now + costs.poll_notify, costs.rpc_dispatch);
-                let _ = t;
-                nic.send_rpc(
-                    ctx,
-                    src,
-                    RpcBody::MetaLookupResp { file, ok: true },
-                    Bytes::new(),
-                );
-            }
-            RpcBody::MetaLookupResp { .. } => {}
         }
     }
 }
@@ -533,20 +517,16 @@ impl NicApp for StorageApp {
         data: Bytes,
     ) {
         // Write/read service goes through the per-tenant scheduler when
-        // QoS is on; metadata lookups stay out of band (they are latency
-        // critical and tiny).
-        let qos_eligible = matches!(body, RpcBody::WriteReq { .. } | RpcBody::ReadReq { .. })
-            && self.qos.is_some();
-        if !qos_eligible {
+        // QoS is on.
+        let Some(qos) = self.qos.as_mut() else {
             self.dispatch_rpc(nic, ctx, src, msg, body, data);
             return;
-        }
+        };
         let (tenant, cost) = match &body {
             RpcBody::WriteReq { dfs, wrh, .. } => (dfs.tenant, wrh.len.max(1) as u64),
             RpcBody::ReadReq { dfs, rrh } => (dfs.tenant, rrh.len.max(1) as u64),
-            _ => unreachable!("eligibility checked above"),
         };
-        self.qos.as_mut().expect("checked").sched.push(
+        qos.sched.push(
             tenant,
             cost,
             QueuedRpc {
@@ -637,8 +617,6 @@ impl NicApp for StorageApp {
             let t = nic
                 .cpu
                 .exec(now + costs.poll_notify, xor_cost + costs.post_send);
-            self.defer(nic, ctx, t, AfterCpu::FinishFallback);
-            // Stash ack info alongside.
             let ack = AckPkt {
                 credit: CreditGrant::ZERO,
                 msg: MsgId::new(nic.node() as u32, greq),
@@ -681,9 +659,6 @@ impl NicApp for StorageApp {
                 len,
             } => {
                 nic.respond_read(ctx, dst, msg, addr, len);
-            }
-            AfterCpu::FinishFallback => {
-                // Bookkeeping only; the paired AckClient does the talking.
             }
             AfterCpu::ServiceDone => {
                 if let Some(q) = self.qos.as_mut() {

@@ -48,10 +48,6 @@ struct RawAck {
 struct ReadDone {
     token: u64,
 }
-/// Self-event: stream the next chunk of a read response.
-struct ReadStream {
-    msg: MsgId,
-}
 /// Self-event: app timer. Also usable from outside the component (e.g.
 /// test or experiment drivers) to bootstrap the app:
 /// `engine.schedule(delay, nic_id, Box::new(AppTimer { tag }))`.
@@ -118,17 +114,6 @@ struct PendingRead {
     flush: Time,
 }
 
-/// Read response being streamed (responder side).
-struct ReadResponder {
-    dst: NodeId,
-    msg: MsgId,
-    addr: u64,
-    len: u32,
-    next_off: u32,
-    total_pkts: u32,
-    next_idx: u32,
-}
-
 /// An offloaded gather read collecting its segments on the responder NIC.
 pub(crate) struct GatherState {
     pub(crate) client: NodeId,
@@ -149,12 +134,14 @@ pub(crate) struct GatherState {
     remote_left: u32,
 }
 
-/// A collected gather streaming back to the client as one response flow:
-/// a multi-segment generalization of [`ReadResponder`] whose packet
-/// offsets are the (possibly sparse) destination offsets of the flow.
+/// A response flow streaming back to the requester: a collected gather,
+/// or a plain read as a flow of one segment. Packet offsets are the
+/// (possibly sparse) destination offsets of the flow.
 struct GatherResponder {
     dst: NodeId,
-    greq: u64,
+    /// The gather's request id (phase marks, streamed-byte counter);
+    /// `None` for a plain read.
+    greq: Option<u64>,
     /// `(local_addr, len, dest_off)` source ranges, streamed in order.
     segs: Vec<(u64, u32, u32)>,
     seg_idx: usize,
@@ -164,6 +151,34 @@ struct GatherResponder {
     /// Staging region inherited from the gather, released with the flow.
     staging: u64,
     staging_len: u64,
+}
+
+impl GatherResponder {
+    fn new(
+        dst: NodeId,
+        greq: Option<u64>,
+        segs: Vec<(u64, u32, u32)>,
+        staging: u64,
+        staging_len: u64,
+    ) -> GatherResponder {
+        let payload_cap = nadfs_wire::sizes::max_payload_plain();
+        let total_pkts = segs
+            .iter()
+            .map(|&(_, len, _)| len.div_ceil(payload_cap))
+            .sum::<u32>()
+            .max(1);
+        GatherResponder {
+            dst,
+            greq,
+            segs,
+            seg_idx: 0,
+            seg_off: 0,
+            total_pkts,
+            next_idx: 0,
+            staging,
+            staging_len,
+        }
+    }
 }
 
 /// Offload counters shared with the metrics registry (the NIC itself is
@@ -267,9 +282,9 @@ pub struct NicCore {
     raw_writes: HashMap<MsgId, RawWriteState>,
     sends: HashMap<MsgId, SendState>,
     pending_reads: HashMap<MsgId, PendingRead>,
-    responders: HashMap<MsgId, ReadResponder>,
+    /// Response flows being streamed, by request message.
+    responders: HashMap<MsgId, GatherResponder>,
     pub(crate) gathers: HashMap<u64, GatherState>,
-    gather_responders: HashMap<MsgId, GatherResponder>,
     next_gather: u64,
     mrs: Vec<(u64, u64)>,
     /// Service MAC key for NIC-side read validation: when installed,
@@ -724,7 +739,8 @@ impl NicCore {
     /// Stream `len` bytes at `addr` back to `dst` as read-response packets
     /// for request `msg` — the responder half used both by the one-sided
     /// read path and by the CPU-validated RPC read (the storage software
-    /// calls this after its own capability check).
+    /// calls this after its own capability check). The response is a
+    /// gather flow of one segment (none when `len == 0`).
     pub fn respond_read(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -733,21 +749,14 @@ impl NicCore {
         addr: u64,
         len: u32,
     ) {
-        let payload_cap = nadfs_wire::sizes::max_payload_plain();
-        let total_pkts = len.div_ceil(payload_cap).max(1);
-        self.responders.insert(
-            msg,
-            ReadResponder {
-                dst,
-                msg,
-                addr,
-                len,
-                next_off: 0,
-                total_pkts,
-                next_idx: 0,
-            },
-        );
-        self.stream_read(ctx, msg);
+        let segs = if len == 0 {
+            vec![]
+        } else {
+            vec![(addr, len, 0)]
+        };
+        self.responders
+            .insert(msg, GatherResponder::new(dst, None, segs, 0, 0));
+        self.stream_gather(ctx, msg);
     }
 
     /// Send a protocol ack, piggybacking any pending recv-credit return
@@ -1188,7 +1197,6 @@ impl NicCore {
         let Some(g) = self.gathers.remove(&id) else {
             return;
         };
-        let payload_cap = nadfs_wire::sizes::max_payload_plain();
         let segs: Vec<(u64, u32, u32)> = match &g.grh.reconstruct {
             None => g
                 .grh
@@ -1214,36 +1222,21 @@ impl NicCore {
                 })
                 .collect(),
         };
-        let total_pkts = segs
-            .iter()
-            .map(|&(_, len, _)| len.div_ceil(payload_cap))
-            .sum::<u32>()
-            .max(1);
-        self.gather_responders.insert(
-            g.msg,
-            GatherResponder {
-                dst: g.client,
-                greq: g.greq,
-                segs,
-                seg_idx: 0,
-                seg_off: 0,
-                total_pkts,
-                next_idx: 0,
-                staging: g.staging,
-                staging_len: g.staging_len,
-            },
-        );
+        let flow = GatherResponder::new(g.client, Some(g.greq), segs, g.staging, g.staging_len);
+        self.responders.insert(g.msg, flow);
         self.stream_gather(ctx, g.msg);
     }
 
-    /// Stream the next response batch of a gather flow: like
-    /// [`NicCore::stream_read`] but walking the (possibly sparse)
-    /// destination segments, with a per-batch phase mark so the op span
-    /// records pipeline progress.
+    /// Stream the next response batch of a flow: DMA-read up to 32
+    /// packets' worth of its (possibly sparse) destination segments from
+    /// host memory, emit the packets at DMA-ready time, reschedule. The
+    /// batch amortizes the per-op PCIe latency so streaming reads run at
+    /// the DMA-read channel bandwidth. A gather also marks each batch on
+    /// its span so the op records pipeline progress.
     fn stream_gather(&mut self, ctx: &mut Ctx<'_>, msg: MsgId) {
         const BATCH_PKTS: u32 = 32;
         let now = ctx.now();
-        let Some(r) = self.gather_responders.get_mut(&msg) else {
+        let Some(r) = self.responders.get_mut(&msg) else {
             return;
         };
         let payload_cap = nadfs_wire::sizes::max_payload_plain();
@@ -1260,8 +1253,6 @@ impl NicCore {
                 offset: 0,
                 data: Bytes::new(),
             }));
-            let r = self.gather_responders.remove(&msg).expect("just looked up");
-            self.release_gather_staging(r.staging, r.staging_len);
         } else {
             let mut budget = BATCH_PKTS;
             while budget > 0 && r.seg_idx < r.segs.len() {
@@ -1294,80 +1285,25 @@ impl NicCore {
                     r.seg_off = 0;
                 }
             }
-            let more = r.seg_idx < r.segs.len();
-            if more {
-                ctx.schedule_self(ready.since(now), Box::new(GatherStreamNext { msg }));
-            } else {
-                // The final batch's DMA reads copied the bytes out; the
-                // staging pages are dead even while frames are in flight.
-                let r = self.gather_responders.remove(&msg).expect("just looked up");
-                self.release_gather_staging(r.staging, r.staging_len);
-            }
         }
-        self.stats.borrow_mut().gather_bytes_streamed += batch_bytes;
-        self.obs
-            .borrow_mut()
-            .spans
-            .mark_corr(greq, phase::STREAMED, ready);
-        ctx.schedule_self(ready.since(now), Box::new(DeferredSend { dst, frames }));
-    }
-
-    /// Stream the next response batch: DMA-read up to 32 packets' worth
-    /// from host memory, emit the packets at DMA-ready time, reschedule.
-    /// The batch amortizes the per-op PCIe latency so streaming reads run
-    /// at the DMA-read channel bandwidth.
-    fn stream_read(&mut self, ctx: &mut Ctx<'_>, msg: MsgId) {
-        const BATCH_PKTS: u32 = 32;
-        let now = ctx.now();
-        let Some(r) = self.responders.get_mut(&msg) else {
-            return;
-        };
-        let payload_cap = nadfs_wire::sizes::max_payload_plain();
-        let remaining = r.len - r.next_off.min(r.len);
-        let chunk = (payload_cap * BATCH_PKTS).min(remaining);
-        let mut frames = Vec::new();
-        let dst = r.dst;
-        let ready;
-        if r.len == 0 {
-            frames.push(Frame::ReadResp(ReadRespPkt {
-                msg: r.msg,
-                pkt_idx: 0,
-                total_pkts: 1,
-                offset: 0,
-                data: Bytes::new(),
-            }));
-            ready = now;
-            self.responders.remove(&msg);
+        let done = r.seg_idx == r.segs.len();
+        if done {
+            // The final batch's DMA reads copied the bytes out; the
+            // staging pages are dead even while frames are in flight.
+            let r = self.responders.remove(&msg).expect("just looked up");
+            self.release_gather_staging(r.staging, r.staging_len);
         } else {
-            let (data, dma_ready) =
-                self.dma
-                    .borrow_mut()
-                    .read(now, r.addr + r.next_off as u64, chunk as usize);
-            ready = dma_ready;
-            let base_off = r.next_off;
-            let mut off = 0u32;
-            while off < chunk {
-                let len = payload_cap.min(chunk - off);
-                frames.push(Frame::ReadResp(ReadRespPkt {
-                    msg: r.msg,
-                    pkt_idx: r.next_idx,
-                    total_pkts: r.total_pkts,
-                    offset: base_off + off,
-                    data: data.slice(off as usize..(off + len) as usize),
-                }));
-                r.next_idx += 1;
-                off += len;
-            }
-            r.next_off += chunk;
-            let more = r.next_off < r.len;
-            if more {
-                ctx.schedule_self(ready.since(now), Box::new(ReadStream { msg }));
-            } else {
-                self.responders.remove(&msg);
-            }
+            ctx.schedule_self(ready.since(now), Box::new(GatherStreamNext { msg }));
+        }
+        if let Some(greq) = greq {
+            self.stats.borrow_mut().gather_bytes_streamed += batch_bytes;
+            self.obs
+                .borrow_mut()
+                .spans
+                .mark_corr(greq, phase::STREAMED, ready);
         }
         ctx.schedule_self(ready.since(now), Box::new(DeferredSend { dst, frames }));
-        if !self.responders.contains_key(&msg) {
+        if done {
             // Last batch queued: the stream's QoS slot (if any) frees and
             // the next tenant-scheduled read can start.
             self.read_qos_stream_done(ctx, msg);
@@ -1432,7 +1368,6 @@ impl Nic {
                 pending_reads: HashMap::new(),
                 responders: HashMap::new(),
                 gathers: HashMap::new(),
-                gather_responders: HashMap::new(),
                 next_gather: 0,
                 mrs: Vec::new(),
                 service_key: None,
@@ -1641,13 +1576,6 @@ impl Component for Nic {
                 for (dst, wrh, data) in d.sends {
                     core.send_write(ctx, dst, d.dfs, wrh, data);
                 }
-                return;
-            }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<ReadStream>() {
-            Ok(r) => {
-                core.stream_read(ctx, r.msg);
                 return;
             }
             Err(e) => e,

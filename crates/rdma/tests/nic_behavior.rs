@@ -212,34 +212,36 @@ fn rpc_roundtrip_delivers_body_and_inline_data() {
 
 #[test]
 fn one_sided_read_fetches_remote_bytes() {
-    let stored = pattern(50_000, 1);
-    let s2 = stored.clone();
-    let setups: Vec<Option<Setup>> = vec![
-        None,
-        Some(Box::new(move |nic: &mut NicCore| {
-            nic.memory().borrow_mut().write(0x9000, &s2);
-        })),
-    ];
-    let actions: Vec<HashMap<u64, Action>> = vec![
-        HashMap::from([(
-            1u64,
-            Box::new(|nic: &mut NicCore, ctx: &mut Ctx<'_>| {
-                let rrh = ReadReqHeader {
-                    addr: 0x9000,
-                    len: 50_000,
-                };
-                nic.send_read(ctx, 1, rrh, None, 0x100_000, 77);
-            }) as Action,
-        )]),
-        HashMap::new(),
-    ];
-    let mut c = build(2, actions, setups, NicConfig::default());
-    kick(&mut c, 0, 1, Dur::ZERO);
-    run(&mut c, 10);
-    let reads = c.records[0].reads.borrow();
-    assert_eq!(reads.len(), 1);
-    assert_eq!(reads[0].1, 77);
-    assert_eq!(c.memories[0].borrow().read(0x100_000, 50_000), stored);
+    // Empty, one batch (< 32 packets) and several batches of the response
+    // stream.
+    for len in [0u32, 50_000, 200_000] {
+        let stored = pattern(len as usize, 1);
+        let s2 = stored.clone();
+        let setups: Vec<Option<Setup>> = vec![
+            None,
+            Some(Box::new(move |nic: &mut NicCore| {
+                nic.memory().borrow_mut().write(0x9000, &s2);
+            })),
+        ];
+        let actions: Vec<HashMap<u64, Action>> = vec![
+            HashMap::from([(
+                1u64,
+                Box::new(move |nic: &mut NicCore, ctx: &mut Ctx<'_>| {
+                    let rrh = ReadReqHeader { addr: 0x9000, len };
+                    nic.send_read(ctx, 1, rrh, None, 0x100_000, 77);
+                }) as Action,
+            )]),
+            HashMap::new(),
+        ];
+        let mut c = build(2, actions, setups, NicConfig::default());
+        kick(&mut c, 0, 1, Dur::ZERO);
+        run(&mut c, 10);
+        let reads = c.records[0].reads.borrow();
+        assert_eq!(reads.len(), 1, "len {len}");
+        assert_eq!(reads[0].1, 77, "len {len}");
+        let landed = c.memories[0].borrow().read(0x100_000, len as usize);
+        assert_eq!(landed, stored, "len {len}");
+    }
 }
 
 #[test]

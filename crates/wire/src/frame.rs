@@ -116,14 +116,6 @@ pub enum RpcBody {
         dfs: DfsHeader,
         rrh: ReadReqHeader,
     },
-    /// Control-plane metadata lookup (used by full-system examples).
-    MetaLookupReq {
-        file: u64,
-    },
-    MetaLookupResp {
-        file: u64,
-        ok: bool,
-    },
 }
 
 impl RpcBody {
@@ -132,8 +124,6 @@ impl RpcBody {
         match self {
             RpcBody::WriteReq { wrh, .. } => DfsHeader::wire_size() + wrh.wire_size() + 17,
             RpcBody::ReadReq { .. } => DfsHeader::wire_size() + ReadReqHeader::wire_size(),
-            RpcBody::MetaLookupReq { .. } => 8,
-            RpcBody::MetaLookupResp { .. } => 9,
         }
     }
 }

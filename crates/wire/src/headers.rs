@@ -6,7 +6,7 @@ use crate::capability::Capability;
 use crate::sizes;
 
 /// DFS operation carried in the generic DFS header.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DfsOp {
     Write,
     Read,
